@@ -3,8 +3,8 @@
 # the observability stack (audited bench run + Chrome trace validity),
 # elastic churn, multi-tenant preemption, network chaos, multi-shard
 # gossip, the power subsystem (audited diurnal energy run), packed
-# gang/malleable chaos, and DAG/deadline scheduling (audited chaos run +
-# golden-diff byte-identity with the gates off).
+# gang/malleable chaos, DAG/deadline scheduling (audited chaos run), and the
+# golden suite (byte identity of every feature path).
 # Usage: scripts/check.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -259,27 +259,15 @@ else
   echo "dag chaos smoke ok (python3 not found; skipped JSON validation)"
 fi
 
-echo "== golden-diff guard =="
-# Packing off must stay byte-identical to the committed pre-packing
-# outputs: the figure benches never mention packing or DAGs, so any drift
-# here means a disabled subsystem perturbed the scheduler (an RNG draw, an
-# iteration-order change, a stray counter) — exactly the layering bug the
-# guard exists to catch. This is also the `--dag`/`--deadline`-off
-# byte-identity assertion: these benches run with both gates off.
-"$BUILD_DIR/bench/bench_fig7_phoenix_vs_eagle_short" \
-  --nodes=60 --jobs=1200 --runs=1 > "$SMOKE_DIR/fig7.txt" 2>&1
-"$BUILD_DIR/bench/bench_fig10_phoenix_vs_hawk" \
-  --nodes=60 --jobs=1200 --runs=1 > "$SMOKE_DIR/fig10.txt" 2>&1
-"$BUILD_DIR/bench/bench_ext_affinity_failures" \
-  --nodes=60 --jobs=1200 --runs=1 > "$SMOKE_DIR/ext_affinity.txt" 2>&1
-diff "$SMOKE_DIR/fig7.txt" tests/golden/fig7_nodes60_jobs1200.txt
-diff "$SMOKE_DIR/fig10.txt" tests/golden/fig10_nodes60_jobs1200.txt
-diff "$SMOKE_DIR/ext_affinity.txt" tests/golden/ext_affinity_nodes60_jobs1200.txt
-echo "golden-diff guard ok: fig7/fig10/ext_affinity byte-identical"
+echo "== golden suite =="
+# Byte identity: the fingerprint table of every scheduler x feature-set path
+# (tests/golden/paths.txt) and the fig7/fig10/ext_affinity bench outputs
+# (tests/golden/*_nodes60_jobs1200.txt, all gates off) must match exactly.
+ctest --test-dir "$BUILD_DIR" --output-on-failure -L golden -j "$JOBS"
 
 echo "== perf smoke =="
-# Core-throughput gate: event counts must match the committed baseline
-# exactly (determinism), events/sec within 25% (algorithmic regressions).
+# Core-throughput gate: event and task counts must match the committed
+# baseline exactly (determinism); events/sec ratios only warn.
 scripts/perf_smoke.sh "$BUILD_DIR"
 
 echo "== all checks passed =="

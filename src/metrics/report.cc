@@ -1,6 +1,10 @@
 #include "metrics/report.h"
 
+#include <cstring>
+#include <type_traits>
+
 #include "util/check.h"
+#include "util/format.h"
 
 namespace phoenix::metrics {
 
@@ -121,6 +125,75 @@ void SimReport::CheckInvariants() const {
     PHOENIX_CHECK_MSG(tracked - attained == counters.deadline_misses,
                       "deadline misses disagree with the per-class slices");
   }
+}
+
+namespace {
+
+class Fnv1a {
+ public:
+  void Add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    Add(bits);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Every counter is a 64-bit integer or double, so the block is a padding-free
+// array of 8-byte words and hashing its bytes covers each field exactly once.
+static_assert(std::is_trivially_copyable_v<SchedulerCounters> &&
+                  sizeof(SchedulerCounters) % sizeof(std::uint64_t) == 0,
+              "SchedulerCounters must stay a block of 8-byte fields");
+
+}  // namespace
+
+std::string Fingerprint(const SimReport& report) {
+  Fnv1a counters;
+  std::uint64_t words[sizeof(SchedulerCounters) / sizeof(std::uint64_t)];
+  std::memcpy(words, &report.counters, sizeof words);
+  for (const std::uint64_t w : words) counters.Add(w);
+
+  Fnv1a outcomes;
+  for (const JobOutcome& j : report.jobs) {
+    outcomes.Add(static_cast<std::uint64_t>(j.id));
+    outcomes.Add(j.submit);
+    outcomes.Add(j.completion);
+    outcomes.Add(j.queuing_delay);
+    outcomes.Add(j.max_task_wait);
+    outcomes.Add(static_cast<std::uint64_t>(j.num_tasks));
+    outcomes.Add(static_cast<std::uint64_t>(j.short_class) << 1 |
+                 static_cast<std::uint64_t>(j.constrained));
+    outcomes.Add(static_cast<std::uint64_t>(j.tenant) << 8 | j.priority);
+    outcomes.Add(static_cast<std::uint64_t>(j.racks_used));
+    outcomes.Add(static_cast<std::uint64_t>(j.placement));
+  }
+  for (const TenantOutcome& t : report.tenants) {
+    for (const std::uint64_t v :
+         {t.jobs, t.admits, t.downgrades, t.rejects, t.slo_jobs,
+          t.slo_attained, t.slo_at_risk, t.preemptions_issued,
+          t.preemptions_suffered}) {
+      outcomes.Add(v);
+    }
+    outcomes.Add(t.usage_seconds);
+    outcomes.Add(t.peak_quota_fraction);
+  }
+  outcomes.Add(report.total_busy_time);
+  outcomes.Add(report.makespan);
+  outcomes.Add(report.active_machine_seconds);
+  outcomes.Add(report.total_joules);
+  return util::StrFormat("events=%llu counters=%016llx outcomes=%016llx",
+                         static_cast<unsigned long long>(report.events_fired),
+                         static_cast<unsigned long long>(counters.value()),
+                         static_cast<unsigned long long>(outcomes.value()));
 }
 
 double SpeedupAtPercentile(const SimReport& treatment,

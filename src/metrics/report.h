@@ -330,6 +330,16 @@ class SimReport {
   void CheckInvariants() const;
 };
 
+/// Exact digest of what a run scheduled, as one line of text:
+///   "events=<events_fired> counters=<hex> outcomes=<hex>"
+/// `counters` is an FNV-1a over the whole SchedulerCounters block (every
+/// field, with no hand-kept list to forget a new one); `outcomes` is an
+/// FNV-1a over every JobOutcome field (tenant and priority included), the
+/// per-tenant slices, and the report's busy-time, in-service and energy
+/// totals. Two runs scheduled identically iff their fingerprints match (up
+/// to hash collisions); host wall time never enters it.
+std::string Fingerprint(const SimReport& report);
+
 /// speedup = baseline / treatment for a given percentile of short-job
 /// response times (how the paper reports "Phoenix improves by N x").
 double SpeedupAtPercentile(const SimReport& treatment,

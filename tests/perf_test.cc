@@ -3,19 +3,18 @@
 // The calendar event queue, allocation-free callbacks, SoA heartbeat state,
 // and the RPC slot pool are all pure-performance rewrites: they must not
 // perturb the event stream by a single draw. These tests fingerprint entire
-// fixed-seed runs — every job outcome printed at full double precision plus
-// the engine's fired-event count — and demand byte equality across repeats
-// and across the experiment thread budget, including the adversarial
+// fixed-seed runs (metrics::Fingerprint: fired events, the full counter
+// block, every job outcome) and demand equality across repeats and across
+// the experiment thread budget, including the adversarial
 // chaos + elastic + tenancy configuration where any hidden ordering or
 // RNG-sequence change would surface.
 #include <gtest/gtest.h>
 
-#include <cstdarg>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "cluster/builder.h"
+#include "metrics/report.h"
 #include "runner/experiment.h"
 #include "runner/parallel.h"
 #include "tenancy/config.h"
@@ -29,48 +28,6 @@ class ScopedThreads {
   explicit ScopedThreads(std::size_t n) { runner::SetExperimentThreads(n); }
   ~ScopedThreads() { runner::SetExperimentThreads(0); }
 };
-
-void Append(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
-// Full-precision digest of everything a scheduling decision can influence.
-// %.17g round-trips IEEE doubles exactly, so two digests match iff the runs
-// were bit-identical.
-std::string Fingerprint(const metrics::SimReport& r) {
-  std::string out;
-  Append(out, "%s workers=%zu events=%llu busy=%.17g makespan=%.17g ams=%.17g\n",
-         r.scheduler_name.c_str(), r.num_workers,
-         static_cast<unsigned long long>(r.events_fired), r.total_busy_time,
-         r.makespan, r.active_machine_seconds);
-  Append(out, "probes=%llu cancelled=%llu stolen=%llu jain=%.17g\n",
-         static_cast<unsigned long long>(r.counters.probes_sent),
-         static_cast<unsigned long long>(r.counters.probes_cancelled),
-         static_cast<unsigned long long>(r.counters.tasks_stolen),
-         r.tenant_fairness_jain);
-  for (const auto& j : r.jobs) {
-    Append(out, "j%llu s=%.17g c=%.17g q=%.17g w=%.17g n=%zu k=%d t=%u p=%u\n",
-           static_cast<unsigned long long>(j.id), j.submit, j.completion,
-           j.queuing_delay, j.max_task_wait, j.num_tasks,
-           j.short_class ? 1 : 0, static_cast<unsigned>(j.tenant),
-           static_cast<unsigned>(j.priority));
-  }
-  for (const auto& t : r.tenants) {
-    Append(out, "t%u jobs=%llu adm=%llu rej=%llu pre=%llu use=%.17g\n",
-           static_cast<unsigned>(t.id),
-           static_cast<unsigned long long>(t.jobs),
-           static_cast<unsigned long long>(t.admits),
-           static_cast<unsigned long long>(t.rejects),
-           static_cast<unsigned long long>(t.preemptions_issued),
-           t.usage_seconds);
-  }
-  return out;
-}
 
 // Google-profile trace with jobs spread across three tenants.
 trace::Trace TenantedTrace(std::size_t jobs, std::size_t workers, double load,
@@ -122,7 +79,7 @@ TEST(PerfIdentity, FixedSeedRunIsBitIdenticalAcrossRepeats) {
   const auto a = runner::RunSimulation(t, cl, o);
   const auto b = runner::RunSimulation(t, cl, o);
   ASSERT_GT(a.events_fired, 0u);
-  EXPECT_EQ(Fingerprint(a), Fingerprint(b));
+  EXPECT_EQ(metrics::Fingerprint(a), metrics::Fingerprint(b));
 }
 
 TEST(PerfIdentity, ChaosElasticTenancyIdenticalAcrossThreadBudgets) {
@@ -133,14 +90,17 @@ TEST(PerfIdentity, ChaosElasticTenancyIdenticalAcrossThreadBudgets) {
   {
     ScopedThreads threads(1);
     runner::RepeatedRuns runs(t, cl, o, 4);
-    for (const auto& r : runs.reports()) serial.push_back(Fingerprint(r));
+    for (const auto& r : runs.reports()) {
+      serial.push_back(metrics::Fingerprint(r));
+    }
   }
   {
     ScopedThreads threads(4);
     runner::RepeatedRuns runs(t, cl, o, 4);
     ASSERT_EQ(runs.reports().size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(Fingerprint(runs.reports()[i]), serial[i]) << "run " << i;
+      EXPECT_EQ(metrics::Fingerprint(runs.reports()[i]), serial[i])
+          << "run " << i;
     }
   }
 }
@@ -157,7 +117,7 @@ TEST(PerfIdentity, AllSchedulersRepeatIdenticalOnStaticFleet) {
     o.config.seed = 31;
     const auto a = runner::RunSimulation(t, cl, o);
     const auto b = runner::RunSimulation(t, cl, o);
-    EXPECT_EQ(Fingerprint(a), Fingerprint(b)) << name;
+    EXPECT_EQ(metrics::Fingerprint(a), metrics::Fingerprint(b)) << name;
   }
 }
 
