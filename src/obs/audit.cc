@@ -612,6 +612,28 @@ void InvariantAuditor::CheckWorker(double now, std::uint32_t machine,
   }
 }
 
+void InvariantAuditor::CheckRun(double now, std::uint32_t machine,
+                                std::uint32_t job, std::uint32_t task,
+                                bool failed, bool out_of_service,
+                                bool completion_pending, bool final_state) {
+  if (failed || out_of_service) {
+    Violate(util::StrFormat(
+        "machine %u runs job %u task %u while %s at t=%.6f", machine, job,
+        task, failed ? "failed" : "out of service", now));
+  }
+  if (!completion_pending) {
+    Violate(util::StrFormat(
+        "machine %u runs job %u task %u with no pending completion at "
+        "t=%.6f (stranded run)",
+        machine, job, task, now));
+  }
+  if (final_state) {
+    Violate(util::StrFormat(
+        "machine %u still runs job %u task %u after the run drained", machine,
+        job, task));
+  }
+}
+
 void InvariantAuditor::Finish() {
   if (energy_expected_) {
     // Energy conservation: the joules the scheduler's meter accrued must

@@ -55,8 +55,10 @@
 //   * deadline sanity — kDeadlineMiss fires at most once per job, with a
 //     positive lateness, for a job that actually arrived;
 //   * worker structure (fed by the scheduler at each heartbeat and at the
-//     end of the run) — a busy worker always has a live slot event, a
-//     failed worker is never busy, and queues drain by the end of the run.
+//     end of the run) — a fetch holding a worker's control slot always has
+//     a live RPC, a failed worker holds no fetch, every run has its pending
+//     completion event on an in-service, live machine, and queues and run
+//     lists drain by the end of the run.
 //
 // The auditor only records violations; the runner (or test) decides
 // whether to abort. `ok()` + `Summary()` give the verdict.
@@ -87,6 +89,13 @@ class InvariantAuditor final : public EventSink {
                    bool has_live_slot_event, std::size_t queue_len,
                    double est_queued_work, bool final_state,
                    bool out_of_service = false);
+
+  /// Structural check of one executing run on `machine`: a run never sits
+  /// on a failed or out-of-service machine, is always backed by its pending
+  /// completion event, and none is left when the run ends (`final_state`).
+  void CheckRun(double now, std::uint32_t machine, std::uint32_t job,
+                std::uint32_t task, bool failed, bool out_of_service,
+                bool completion_pending, bool final_state);
 
   /// Declares the scheduler-side energy integral for the end-of-run energy
   /// conservation check: the kPowerState stream integrated to `horizon`

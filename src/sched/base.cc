@@ -164,9 +164,9 @@ void SchedulerBase::DrainMachine(MachineId id, DrainReason reason) {
   }
   ++counters_.elastic_drains;
   Emit(EventType::kMachineDrain, obs::kNoId, id);
-  // Free a fetch-held slot — its round trip would bind a new task here. A
-  // running task keeps the slot and finishes within the grace period.
-  EvictSlotWork(w, /*kill_running=*/false);
+  // Free a fetch-held control slot — its round trip would bind a new task
+  // here. Runs keep going and finish within the grace period.
+  EvictWork(w, /*kill_runs=*/false);
   // Bounce queued probes elsewhere (resolving one would also bind new
   // work); already-bound tasks stay and may still run before the retire.
   for (std::size_t i = w.queue.size(); i-- > 0;) {
@@ -190,14 +190,8 @@ bool SchedulerBase::RetireMachine(MachineId id, bool force) {
     return false;
   }
   if (force) {
-    counters_.elastic_tasks_redispatched +=
-        w.queue.size() + (w.running_job != trace::kInvalidJob ? 1 : 0) +
-        w.run_list.size();
-    EvictSlotWork(w, /*kill_running=*/true);
-    if (packing_on_) {
-      EvictPackedRuns(w);
-      EvictGangReservations(w);
-    }
+    counters_.elastic_tasks_redispatched += w.queue.size() + w.runs.size();
+    EvictWork(w, /*kill_runs=*/true);
     while (!w.queue.empty()) {
       BounceUndelivered(RemoveQueueAt(w, w.queue.size() - 1), id, one_way());
     }
@@ -229,7 +223,7 @@ bool SchedulerBase::ParkMachine(MachineId id) {
       state != cluster::MachineLifecycle::kDraining) {
     return false;  // double-park / park-of-retired: idempotent no-op
   }
-  // Never strand work: held work (slot, queue, or packed runs) vetoes the
+  // Never strand work: held work (a fetch, the queue, or runs) vetoes the
   // park (the controller re-evaluates next tick once the worker truly
   // drains). An outstanding gang reservation — residual below capacity with
   // nothing running — vetoes too: parking would strand the claimed share.
@@ -345,25 +339,27 @@ void SchedulerBase::EmitToSinks(EventType type, std::uint32_t job,
 void SchedulerBase::AuditWorkers(bool final_state, MachineId lo,
                                  MachineId hi) {
   if (auditor_ == nullptr) return;
-  // One engine snapshot amortizes the per-worker "busy slot has a live
-  // event" check across the audited range.
+  // One engine snapshot amortizes the per-run "completion is pending" check
+  // across the audited range.
   const auto pending = engine_.PendingIds();
   const double now = engine_.Now();
   for (MachineId i = lo; i < hi; ++i) {
     const WorkerState& w = workers_[i];
-    // A slot held for a fetch is backed by a live RPC call (whose deadline
-    // or delivery event keeps the engine moving); an executing slot by the
-    // completion event.
-    const bool live_slot_event =
-        w.pending_call != 0
-            ? rpc_.Alive(w.pending_call)
-            : std::binary_search(pending.begin(), pending.end(),
-                                 w.pending_event);
     const bool out_of_service =
         membership_ != nullptr && !membership_->InService(w.id);
-    auditor_->CheckWorker(now, w.id, w.busy, w.failed, live_slot_event,
+    // A fetch holding the control slot is backed by a live RPC call (whose
+    // deadline or delivery event keeps the engine moving).
+    auditor_->CheckWorker(now, w.id, w.busy, w.failed,
+                          w.pending_call != 0 && rpc_.Alive(w.pending_call),
                           w.queue.size(), w.est_queued_work, final_state,
                           out_of_service);
+    for (const Run& run : w.runs) {
+      auditor_->CheckRun(now, w.id, run.job, run.task_index, w.failed,
+                         out_of_service,
+                         std::binary_search(pending.begin(), pending.end(),
+                                            run.pending_event),
+                         final_state);
+    }
   }
 }
 
@@ -502,8 +498,8 @@ MachineId SchedulerBase::PickLeastLoadedLive(
   for (const MachineId c : candidates) {
     const WorkerState& w = workers_[c];
     if (w.failed || !Bindable(c)) continue;  // delivery would only bounce
-    const double running_rem = w.busy ? std::max(0.0, w.busy_until - now) : 0.0;
-    const double load = w.est_queued_work + running_rem;
+    double load = w.est_queued_work;
+    for (const Run& run : w.runs) load += std::max(0.0, run.until - now);
     if (load < best_load) {
       best_load = load;
       best = c;
@@ -541,92 +537,94 @@ void SchedulerBase::RedispatchEntry(QueueEntry entry, double delay) {
   SendEntry(best, entry, std::max(delay, 2 * one_way()));
 }
 
-void SchedulerBase::EvictSlotWork(WorkerState& worker, bool kill_running) {
-  if (!worker.busy) return;
-  if (worker.running_job != trace::kInvalidJob && !kill_running) return;
-  // Kill the in-flight slot event (probe resolution, sticky fetch, or task
-  // completion) and recover its work.
-  {
-    CancelSlotEvent(worker);
-    if (power_ != nullptr) {
-      // Idempotent: only a genuinely executing slot drops back to idle watts
-      // (a fetch- or resolve-held slot never raised them).
-      const double watts = power_->OnExecEnd(worker.id, engine_.Now());
-      if (watts >= 0) {
-        Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-      }
-    }
-    if (worker.running_job != trace::kInvalidJob) {
-      // Running task is lost: un-count its unfinished service and replay it.
-      JobRuntime& job = jobs_[worker.running_job];
-      total_busy_time_ -= std::max(0.0, worker.busy_until - engine_.Now());
-      job.replay_tasks.push_back(worker.running_index);
-      Emit(EventType::kTaskKill, job.id, worker.id, worker.running_index);
-      ++counters_.tasks_rescheduled_failure;
-      // A DAG job's replay must re-bind, never probe: a late-binding probe
-      // could fetch an unreleased task. The replayed index itself already
-      // ran, so its predecessors are finished and the re-bind is legal.
-      if (UsesDistributedPlane(job) && !DagManaged(job)) {
-        QueueEntry probe;
-        probe.kind = QueueEntry::Kind::kProbe;
-        probe.job = job.id;
-        probe.est_duration = EstimatedTaskDuration(job);
-        probe.short_class = job.short_class;
-        RedispatchEntry(probe, one_way());
-        --counters_.tasks_rescheduled_failure;  // RedispatchEntry counted too
-      } else {
-        QueueEntry bound;
-        bound.kind = QueueEntry::Kind::kBoundTask;
-        bound.job = job.id;
-        bound.task_index = TakeNextTaskIndex(job);
-        bound.est_duration = EstimatedTaskDuration(job);
-        bound.short_class = job.short_class;
-        RedispatchEntry(bound, one_way());
-        --counters_.tasks_rescheduled_failure;
-      }
-      worker.running_job = trace::kInvalidJob;
-    } else if (worker.resolving) {
+void SchedulerBase::EvictWork(WorkerState& worker, bool kill_runs) {
+  // The control slot first, then the runs: both re-dispatch through the
+  // shared RNG, so this order is part of the schedule.
+  if (worker.busy) {
+    rpc_.Cancel(worker.pending_call);
+    worker.pending_call = 0;
+    if (worker.resolving) {
       // The probe being resolved never took a task; send it elsewhere.
       BounceUndelivered(worker.resolving_entry, worker.id, one_way());
     } else if (worker.fetching_job != trace::kInvalidJob) {
-      // A sticky-batch fetch was in flight: the slot held no task yet.
-      // Re-cover the fetched job directly — its sibling probes may all
-      // have resolved, dissolved, or died with other machines by now, so
-      // leftover coverage cannot be assumed.
-      JobRuntime& job = jobs_[worker.fetching_job];
-      if (!job.AllPlaced()) {
-        ++counters_.sticky_fetch_redispatches;
-        QueueEntry entry;
-        entry.job = job.id;
-        entry.est_duration = EstimatedTaskDuration(job);
-        entry.short_class = job.short_class;
-        if (UsesDistributedPlane(job)) {
-          entry.kind = QueueEntry::Kind::kProbe;
-        } else {
-          entry.kind = QueueEntry::Kind::kBoundTask;
-          entry.task_index = TakeNextTaskIndex(job);
-        }
-        RedispatchEntry(entry, one_way());
-      }
+      RecoverStickyFetch(jobs_[worker.fetching_job]);
     }
     worker.fetching_job = trace::kInvalidJob;
     worker.resolving = false;
     worker.busy = false;
   }
+  if (kill_runs && !worker.runs.empty()) {
+    const sim::SimTime now = engine_.Now();
+    if (power_ != nullptr) {
+      const double watts = power_->OnExecEnd(worker.id, now);
+      if (watts >= 0) {
+        Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
+      }
+    }
+    std::vector<Run> runs;
+    runs.swap(worker.runs);
+    for (const Run& run : runs) {
+      // The task is lost: un-count its unfinished service and replay it.
+      engine_.Cancel(run.pending_event);
+      JobRuntime& job = jobs_[run.job];
+      const double remaining = std::max(0.0, run.until - now);
+      total_busy_time_ -= remaining;
+      if (packing_on_) {
+        ReleasePackedCapacity(worker, job.demand, 1.0, job.id);
+        packed_core_seconds_ -=
+            remaining * job.demand[packing::PackDim::kCores];
+      }
+      job.replay_tasks.push_back(run.task_index);
+      Emit(EventType::kTaskKill, job.id, worker.id, run.task_index);
+      // Malleable inflight is NOT decremented: the replay below re-covers
+      // the task, so it stays "placed" for the width accounting.
+      QueueEntry entry;
+      entry.job = job.id;
+      entry.est_duration = EstimatedTaskDuration(job);
+      entry.short_class = job.short_class;
+      if (UsesDistributedPlane(job) && !DagManaged(job) &&
+          !(packing_on_ && (job.gang() || job.malleable()))) {
+        entry.kind = QueueEntry::Kind::kProbe;
+      } else {
+        // DAG, gang and malleable replays re-bind: a probe could fetch an
+        // unreleased DAG task. The killed index just pushed pops right back
+        // (it already ran, so its predecessors are finished).
+        entry.kind = QueueEntry::Kind::kBoundTask;
+        entry.task_index = TakeNextTaskIndex(job);
+      }
+      RedispatchEntry(std::move(entry), one_way());
+    }
+  }
+  if (kill_runs) EvictGangReservations(worker);
   RefreshLongBusy(worker);
 }
 
-void SchedulerBase::RefreshLongBusy(const WorkerState& worker) {
-  bool running_long =
-      worker.busy && worker.running_job != trace::kInvalidJob &&
-      !jobs_[worker.running_job].short_class;
-  // Packed runs (run_list is empty when packing is off): any long task in
-  // the concurrent set keeps the SSS bit up.
-  for (const PackedRun& run : worker.run_list) {
-    if (running_long) break;
-    running_long = !jobs_[run.job].short_class;
+void SchedulerBase::RecoverStickyFetch(JobRuntime& job) {
+  // The fetched job's sibling probes may all have resolved, dissolved, or
+  // died with other machines by now, so leftover coverage cannot be
+  // assumed: re-cover the job with a fresh dispatch.
+  if (job.AllPlaced()) return;
+  ++counters_.sticky_fetch_redispatches;
+  QueueEntry entry;
+  entry.job = job.id;
+  entry.est_duration = EstimatedTaskDuration(job);
+  entry.short_class = job.short_class;
+  if (UsesDistributedPlane(job)) {
+    entry.kind = QueueEntry::Kind::kProbe;
+  } else {
+    entry.kind = QueueEntry::Kind::kBoundTask;
+    entry.task_index = TakeNextTaskIndex(job);
   }
-  long_busy_[worker.id] = (worker.long_entries > 0 || running_long) ? 1 : 0;
+  RedispatchEntry(std::move(entry), one_way());
+}
+
+void SchedulerBase::RefreshLongBusy(const WorkerState& worker) {
+  bool long_work = worker.long_entries > 0;
+  for (const Run& run : worker.runs) {
+    if (long_work) break;
+    long_work = !jobs_[run.job].short_class;
+  }
+  long_busy_[worker.id] = long_work ? 1 : 0;
 }
 
 void SchedulerBase::FailMachine(WorkerState& worker, bool auto_repair) {
@@ -635,11 +633,7 @@ void SchedulerBase::FailMachine(WorkerState& worker, bool auto_repair) {
   ++counters_.machine_failures;
   Emit(EventType::kMachineFail, obs::kNoId, worker.id);
 
-  EvictSlotWork(worker, /*kill_running=*/true);
-  if (packing_on_) {
-    EvictPackedRuns(worker);
-    EvictGangReservations(worker);
-  }
+  EvictWork(worker, /*kill_runs=*/true);
 
   // Drain the queue, re-dispatching every entry to live workers (stale
   // probes dissolve inside BounceUndelivered).
@@ -742,7 +736,7 @@ void SchedulerBase::HeartbeatTick(std::uint32_t shard) {
       sample.est_queued_work = w.est_queued_work;
       sample.wait_estimate = w.estimator.EstimateWait();
       sample.crv_marked = w.crv_marked;
-      sample.busy = w.busy;
+      sample.busy = w.busy || !w.runs.empty();
       sample.failed = w.failed;
       for (obs::EventSink* sink : sinks_) sink->OnWorkerSample(sample);
     }
@@ -769,7 +763,7 @@ void SchedulerBase::RefreshShardDigest(std::uint32_t shard, MachineId lo,
     ++live;
     // Clamp so one saturated estimator cannot poison the gossiped mean.
     sum += std::min(w.estimator.EstimateWait(), 1e6);
-    if (!w.busy && w.queue.empty()) ++free_slots;
+    if (!w.HoldsWork()) ++free_slots;
   }
   federation_->RefreshLocal(shard, live > 0 ? sum / live : 0, live,
                             free_slots);
@@ -964,13 +958,13 @@ void SchedulerBase::TenantQueuedDelta(const QueueEntry& entry, double sign) {
 
 void SchedulerBase::MaybePreemptFor(WorkerState& worker,
                                     const QueueEntry& entry) {
-  if (worker.running_job == trace::kInvalidJob) return;  // no victim
+  if (worker.runs.empty() || HasRoom(worker, entry)) return;  // no need
   // Never preempt on a machine outside the bindable fleet. A draining
-  // machine's slot work already belongs to the drain/retire sweep; a
-  // preemption requeue would hand the victim to a second recovery path and
-  // the two could redispatch it twice. DeliverEntry bounces before reaching
-  // this point today, but any future caller (cross-shard binds, policy
-  // ticks) must hit the same wall — the sweep alone recovers the slot.
+  // machine's runs already belong to the drain/retire sweep; a preemption
+  // requeue would hand the victim to a second recovery path and the two
+  // could redispatch it twice. DeliverEntry bounces before reaching this
+  // point today, but any future caller (cross-shard binds, policy ticks)
+  // must hit the same wall — the sweep alone recovers the machine's work.
   if (membership_ != nullptr && !membership_->Bindable(worker.id)) {
     ++counters_.preemptions_blocked_lifecycle;
     return;
@@ -980,35 +974,44 @@ void SchedulerBase::MaybePreemptFor(WorkerState& worker,
   // A probe of a fully placed job would dissolve at resolution — never kill
   // running work for it.
   if (entry.kind == QueueEntry::Kind::kProbe && incoming.AllPlaced()) return;
-  const JobRuntime& victim = jobs_[worker.running_job];
-  switch (preempt_policy_.Judge(incoming.priority, victim.priority,
-                                worker.running_bypass_exhausted,
-                                worker.running_preempt_count)) {
-    case tenancy::PreemptVerdict::kPreempt:
-      if (tenants_.Known(incoming.tenant)) {
-        ++tenants_.state(incoming.tenant).preemptions_issued;
-      }
-      PreemptRunning(worker);
-      return;
-    case tenancy::PreemptVerdict::kGuardedBySlack:
-      ++counters_.preemptions_blocked_guard;
-      return;
-    case tenancy::PreemptVerdict::kPreemptCapReached:
-      ++counters_.preemptions_blocked_cap;
-      return;
-    case tenancy::PreemptVerdict::kIneligible:
-      return;
+  // Newest run first (LIFO loses the least served work), each judged by its
+  // own snapshot, until the entry has room.
+  for (std::size_t i = worker.runs.size();
+       i-- > 0 && !HasRoom(worker, entry);) {
+    const Run& run = worker.runs[i];
+    switch (preempt_policy_.Judge(incoming.priority, jobs_[run.job].priority,
+                                  run.bypass_exhausted, run.preempt_count)) {
+      case tenancy::PreemptVerdict::kPreempt:
+        if (tenants_.Known(incoming.tenant)) {
+          ++tenants_.state(incoming.tenant).preemptions_issued;
+        }
+        PreemptRun(worker, i);
+        break;
+      case tenancy::PreemptVerdict::kGuardedBySlack:
+        ++counters_.preemptions_blocked_guard;
+        break;
+      case tenancy::PreemptVerdict::kPreemptCapReached:
+        ++counters_.preemptions_blocked_cap;
+        break;
+      case tenancy::PreemptVerdict::kIneligible:
+        break;
+    }
   }
 }
 
-void SchedulerBase::PreemptRunning(WorkerState& worker) {
-  JobRuntime& victim = jobs_[worker.running_job];
+void SchedulerBase::PreemptRun(WorkerState& worker, std::size_t index) {
+  const Run run = worker.runs[index];
+  worker.runs.erase(worker.runs.begin() + static_cast<std::ptrdiff_t>(index));
+  engine_.Cancel(run.pending_event);
+  JobRuntime& victim = jobs_[run.job];
   const sim::SimTime now = engine_.Now();
-  const double remaining = std::max(0.0, worker.busy_until - now);
-  const double elapsed = std::max(0.0, now - worker.running_start);
-  const std::uint32_t index = worker.running_index;
-  CancelSlotEvent(worker);
-  if (power_ != nullptr) {
+  const double remaining = std::max(0.0, run.until - now);
+  const double elapsed = std::max(0.0, now - run.start);
+  if (packing_on_) {
+    ReleasePackedCapacity(worker, victim.demand, 1.0, victim.id);
+    packed_core_seconds_ -= remaining * victim.demand[packing::PackDim::kCores];
+  }
+  if (power_ != nullptr && worker.runs.empty()) {
     const double watts = power_->OnExecEnd(worker.id, now);
     if (watts >= 0) {
       Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
@@ -1025,9 +1028,8 @@ void SchedulerBase::PreemptRunning(WorkerState& worker) {
   }
   // The auditor counts the issue as a kill; the matching requeue below keeps
   // its preemption-conservation set balanced.
-  Emit(EventType::kPreemptIssue, victim.id, worker.id, index, elapsed);
-  worker.running_job = trace::kInvalidJob;
-  worker.busy = false;
+  Emit(EventType::kPreemptIssue, victim.id, worker.id, run.task_index,
+       elapsed);
 
   // Requeue on the same worker. Kill and requeue are one local control
   // action — no message transits the fabric — so chaos injection cannot
@@ -1035,13 +1037,13 @@ void SchedulerBase::PreemptRunning(WorkerState& worker) {
   QueueEntry entry;
   entry.kind = QueueEntry::Kind::kBoundTask;
   entry.job = victim.id;
-  entry.task_index = index;
+  entry.task_index = run.task_index;
   entry.est_duration = EstimatedTaskDuration(victim);
   entry.enqueue_time = now;
   entry.short_class = victim.short_class;
   entry.service_penalty = config_.tenancy.preemption_restart_cost;
   entry.preempt_count = static_cast<std::uint8_t>(
-      std::min<std::size_t>(worker.running_preempt_count + 1, 255));
+      std::min<std::size_t>(run.preempt_count + 1, 255));
   worker.queue.push_back(entry);
   worker.est_queued_work += entry.est_duration;
   if (!entry.short_class) ++worker.long_entries;
@@ -1050,8 +1052,7 @@ void SchedulerBase::PreemptRunning(WorkerState& worker) {
   OnEntryEnqueued(worker, entry);
   TenantQueuedDelta(entry, +1);
   ++counters_.preemption_requeues;
-  Emit(EventType::kPreemptRequeue, victim.id, worker.id, index);
-  RefreshLongBusy(worker);
+  Emit(EventType::kPreemptRequeue, victim.id, worker.id, run.task_index);
 }
 
 std::size_t SchedulerBase::PromoteByPriority(const WorkerState& worker,
@@ -1371,8 +1372,7 @@ void SchedulerBase::DeliverEntry(MachineId target, QueueEntry entry) {
     // free slot; otherwise reject back into the home redispatch path.
     // Exactly one kFedBindAccept / kFedBindReject per kFedBindSend — the
     // auditor's fed-bind conservation rule.
-    const bool slot_free =
-        !w.failed && Bindable(target) && !w.busy && w.queue.empty();
+    const bool slot_free = !w.failed && Bindable(target) && !w.HoldsWork();
     entry.cross_shard = false;  // resolved either way; requeues are plain
     if (slot_free) {
       ++counters_.fed_bind_accepts;
@@ -1415,7 +1415,7 @@ void SchedulerBase::DeliverEntry(MachineId target, QueueEntry entry) {
   OnEntryEnqueued(w, entry);
   if (tenancy_on_) {
     TenantQueuedDelta(entry, +1);
-    if (w.busy) MaybePreemptFor(w, entry);
+    MaybePreemptFor(w, entry);
   }
   TryStartNext(w);
 }
@@ -1465,15 +1465,6 @@ void SchedulerBase::BounceUndelivered(QueueEntry entry, MachineId target,
   RedispatchEntry(std::move(entry), delay);
 }
 
-void SchedulerBase::CancelSlotEvent(WorkerState& worker) {
-  if (worker.pending_call != 0) {
-    rpc_.Cancel(worker.pending_call);
-    worker.pending_call = 0;
-  } else {
-    engine_.Cancel(worker.pending_event);
-  }
-}
-
 QueueEntry SchedulerBase::PopQueueAt(WorkerState& worker, std::size_t index) {
   PHOENIX_CHECK(index < worker.queue.size());
   for (std::size_t i = 0; i < index; ++i) {
@@ -1505,64 +1496,73 @@ QueueEntry SchedulerBase::RemoveQueueAt(WorkerState& worker,
   return entry;
 }
 
+bool SchedulerBase::HasRoom(const WorkerState& worker,
+                            const QueueEntry& entry) const {
+  return packing_on_ ? PackedFits(worker, entry) : worker.runs.empty();
+}
+
 void SchedulerBase::TryStartNext(WorkerState& worker) {
-  if (packing_on_) {
-    PackedTryStart(worker);
-    return;
-  }
-  if (worker.busy || worker.failed) return;
-  if (worker.queue.empty()) {
-    OnWorkerIdle(worker);
-    return;
-  }
-  std::size_t index = SelectNextIndex(worker);
-  PHOENIX_CHECK_MSG(index < worker.queue.size(),
-                    "queue discipline returned an out-of-range index");
-  if (tenancy_on_) {
-    const std::size_t promoted = PromoteByPriority(worker, index);
-    if (promoted != index) {
-      index = promoted;
-      ++counters_.tenant_priority_promotions;
+  if (worker.failed || worker.busy) return;
+  while (!worker.queue.empty()) {
+    // A single-slot worker's one run leaves room for nothing. Checked before
+    // SelectNextIndex, which counts reorders and emits events.
+    if (!packing_on_ && !worker.runs.empty()) return;
+    std::size_t index = SelectNextIndex(worker);
+    PHOENIX_CHECK_MSG(index < worker.queue.size(),
+                      "queue discipline returned an out-of-range index");
+    if (tenancy_on_) {
+      const std::size_t promoted = PromoteByPriority(worker, index);
+      if (promoted != index) {
+        index = promoted;
+        ++counters_.tenant_priority_promotions;
+      }
     }
-  }
-  if (deadline_on_) {
-    // EDF tie-break runs last: an earlier-deadline entry overrides both the
-    // discipline's pick and the class promotion (never the slack guard).
-    const std::size_t promoted = PromoteByDeadline(worker, index);
-    if (promoted != index) {
-      index = promoted;
-      ++counters_.deadline_promotions;
+    if (deadline_on_) {
+      // EDF tie-break runs last: an earlier-deadline entry overrides both the
+      // discipline's pick and the class promotion (never the slack guard).
+      const std::size_t promoted = PromoteByDeadline(worker, index);
+      if (promoted != index) {
+        index = promoted;
+        ++counters_.deadline_promotions;
+      }
     }
-  }
-  QueueEntry entry = PopQueueAt(worker, index);
-  if (tenancy_on_) {
-    // Snapshot the entry's starvation/preemption state for the preemption
-    // policy (probes carry it into the resolution-started task).
-    worker.running_bypass_exhausted =
-        entry.bypass_count >= config_.slack_threshold;
-    worker.running_preempt_count = entry.preempt_count;
-  }
-  if (entry.kind == QueueEntry::Kind::kBoundTask) {
-    StartService(worker, jobs_[entry.job], entry.task_index,
-                 entry.service_penalty);
+    if (!HasRoom(worker, worker.queue[index])) {
+      // Packed backfill: the first entry in queue order that fits runs
+      // instead. The selected entry keeps its place and accrues bypass
+      // credit via PopQueueAt, so the starvation guard still sees it.
+      ++counters_.pack_fit_rejections;
+      std::size_t fit = 0;
+      while (fit < worker.queue.size() &&
+             (fit == index || !HasRoom(worker, worker.queue[fit]))) {
+        ++fit;
+      }
+      if (fit == worker.queue.size()) return;  // wait for a completion
+      index = fit;
+    }
+    QueueEntry entry = PopQueueAt(worker, index);
+    if (entry.kind == QueueEntry::Kind::kBoundTask) {
+      StartRun(worker, jobs_[entry.job], entry.task_index, &entry);
+      continue;
+    }
+    // Probe: hold the control slot while fetching the task over one RTT
+    // (late binding). The fetch is a fabric round trip; a lost request or
+    // reply times out and re-covers the probe instead of stranding the slot.
+    worker.busy = true;
+    worker.resolving = true;
+    worker.resolving_entry = entry;
+    worker.pending_call = rpc_.RoundTrip(
+        worker.id, net::kControllerNode, net::MessageKind::kFetchRequest,
+        one_way(),
+        [this, wid = worker.id, entry] {
+          WorkerState& w = workers_[wid];
+          w.pending_call = 0;
+          w.resolving = false;
+          ResolveProbe(w, entry);
+        },
+        [this, wid = worker.id, entry] { AbortProbeResolution(wid, entry); });
     return;
   }
-  // Probe: hold the slot while fetching the task over one RTT (late
-  // binding). The fetch is a fabric round trip; a lost request or reply
-  // times out and re-covers the probe instead of stranding the slot.
-  worker.busy = true;
-  worker.resolving = true;
-  worker.resolving_entry = entry;
-  worker.pending_call = rpc_.RoundTrip(
-      worker.id, net::kControllerNode, net::MessageKind::kFetchRequest,
-      one_way(),
-      [this, wid = worker.id, entry] {
-        WorkerState& w = workers_[wid];
-        w.pending_call = 0;
-        w.resolving = false;
-        ResolveProbe(w, entry);
-      },
-      [this, wid = worker.id, entry] { AbortProbeResolution(wid, entry); });
+  if (worker.runs.empty()) OnWorkerIdle(worker);
 }
 
 void SchedulerBase::AbortProbeResolution(MachineId wid, QueueEntry entry) {
@@ -1578,27 +1578,11 @@ void SchedulerBase::AbortProbeResolution(MachineId wid, QueueEntry entry) {
 }
 
 void SchedulerBase::AbortStickyFetch(MachineId wid, trace::JobId jid) {
-  // Mirrors FailMachine's in-flight-fetch recovery: the fetched job's
-  // sibling probes may be gone, so re-cover it with a fresh dispatch.
   WorkerState& w = workers_[wid];
   w.pending_call = 0;
   w.fetching_job = trace::kInvalidJob;
   w.busy = false;
-  JobRuntime& job = jobs_[jid];
-  if (!job.AllPlaced()) {
-    ++counters_.sticky_fetch_redispatches;
-    QueueEntry entry;
-    entry.job = job.id;
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
-    if (UsesDistributedPlane(job)) {
-      entry.kind = QueueEntry::Kind::kProbe;
-    } else {
-      entry.kind = QueueEntry::Kind::kBoundTask;
-      entry.task_index = TakeNextTaskIndex(job);
-    }
-    RedispatchEntry(std::move(entry), one_way());
-  }
+  RecoverStickyFetch(jobs_[jid]);
   TryStartNext(w);
 }
 
@@ -1606,50 +1590,36 @@ void SchedulerBase::ResolveProbe(WorkerState& worker, QueueEntry entry) {
   JobRuntime& job = jobs_[entry.job];
   PHOENIX_CHECK(job.outstanding_probes > 0);
   --job.outstanding_probes;
-  if (!job.AllPlaced()) {
+  worker.busy = false;  // the fetch has landed
+  const cluster::RackId rack = cluster_.rack_of(worker.id);
+  const auto remaining =
+      static_cast<std::uint32_t>(job.num_tasks()) - job.next_unplaced +
+      static_cast<std::uint32_t>(job.replay_tasks.size());
+  if (job.AllPlaced()) {
+    // All tasks already placed elsewhere: the proxy probe dissolves.
+    ++counters_.probes_cancelled;
+    Emit(EventType::kProbeCancel, job.id, worker.id);
+  } else if (job.placement() == trace::PlacementPref::kSpread &&
+             job.used_racks.Test(rack) && job.outstanding_probes >= remaining) {
     // Spread preference: decline this probe if the rack already hosts a
     // task of the job AND enough probes remain in flight to cover the
     // unplaced tasks elsewhere (the preference is soft — with no slack
     // left, accept and count the violation via NoteRackCommitment).
-    const cluster::RackId rack = cluster_.rack_of(worker.id);
-    const auto remaining =
-        static_cast<std::uint32_t>(job.num_tasks()) - job.next_unplaced +
-        static_cast<std::uint32_t>(job.replay_tasks.size());
-    if (job.placement() == trace::PlacementPref::kSpread &&
-        job.used_racks.Test(rack) && job.outstanding_probes >= remaining) {
-      ++counters_.probes_declined_placement;
-      Emit(EventType::kProbeDecline, job.id, worker.id);
-      worker.busy = false;
-      TryStartNext(worker);
-      return;
-    }
-    if (packing_on_ && !job.demand.FitsIn(worker.residual)) {
-      // Capacity moved while the fetch transited: the resolved slot cannot
-      // host the demand any more. Re-cover the probe elsewhere (not a
-      // failure — compensate RedispatchEntry's counter).
-      ++counters_.pack_fit_rejections;
-      worker.busy = false;
-      RedispatchEntry(entry, one_way());
-      --counters_.tasks_rescheduled_failure;
-      TryStartNext(worker);
-      return;
-    }
+    ++counters_.probes_declined_placement;
+    Emit(EventType::kProbeDecline, job.id, worker.id);
+  } else if (!HasRoom(worker, entry)) {
+    // Packed capacity moved while the fetch transited: the machine cannot
+    // host the demand any more. Re-cover the probe elsewhere (not a
+    // failure — compensate RedispatchEntry's counter).
+    ++counters_.pack_fit_rejections;
+    RedispatchEntry(entry, one_way());
+    --counters_.tasks_rescheduled_failure;
+  } else {
     const std::uint32_t index = TakeNextTaskIndex(job);
     Emit(EventType::kProbeResolve, job.id, worker.id, index);
     NoteRackCommitment(job, rack);
-    worker.busy = false;  // StartService re-claims the slot
-    if (packing_on_) {
-      StartPackedRun(worker, job, index, 0.0, /*from_reserve=*/false);
-      PackedTryStart(worker);
-      return;
-    }
-    StartService(worker, job, index);
-    return;
+    StartRun(worker, job, index, &entry);
   }
-  // All tasks already placed elsewhere: the proxy probe dissolves.
-  ++counters_.probes_cancelled;
-  Emit(EventType::kProbeCancel, job.id, worker.id);
-  worker.busy = false;
   TryStartNext(worker);
 }
 
@@ -1661,127 +1631,149 @@ void SchedulerBase::RecordTaskStart(JobRuntime& job, sim::SimTime start) {
   ++job.task_starts;
 }
 
-void SchedulerBase::StartService(WorkerState& worker, JobRuntime& job,
-                                 std::uint32_t task_index,
-                                 double service_penalty) {
-  PHOENIX_CHECK_MSG(!worker.busy, "worker slot already held");
+void SchedulerBase::StartRun(WorkerState& worker, JobRuntime& job,
+                             std::uint32_t task_index,
+                             const QueueEntry* popped, bool from_reserve) {
+  PHOENIX_CHECK_MSG(packing_on_ || worker.runs.empty(),
+                    "single-slot worker already running");
   const sim::SimTime now = engine_.Now();
-  double duration = job.ActualDuration(task_index) + service_penalty;
+  const double penalty = popped != nullptr ? popped->service_penalty : 0.0;
+  double duration = job.ActualDuration(task_index) + penalty;
   if (power_ != nullptr) {
     // Ondemand boost: arriving work snaps a throttled machine back to P0,
     // so DVFS thins the idle draw of lightly loaded machines without
     // stretching service (frequency transitions are instantaneous next to
     // task durations; S3 wakes are the latency that matters).
-    if (power_->p_state(worker.id) != 0 && !power_->executing(worker.id)) {
+    if (worker.runs.empty() && power_->p_state(worker.id) != 0 &&
+        !power_->executing(worker.id)) {
       ++counters_.power_dvfs_raises;
       const double boosted = power_->SetPState(worker.id, 0, now);
       Emit(EventType::kPowerDvfs, obs::kNoId, worker.id, 0, boosted);
       Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, boosted);
     }
     duration *= power_->SpeedMultiplier(worker.id);
-    const double watts = power_->OnExecBegin(worker.id, now);
-    if (watts >= 0) {
-      Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
+    if (worker.runs.empty()) {
+      // Exec metering opens on the 0 -> 1 run transition only; concurrent
+      // packed runs share the machine's single exec draw.
+      const double watts = power_->OnExecBegin(worker.id, now);
+      if (watts >= 0) {
+        Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
+      }
     }
   }
-  if (service_penalty > 0) {
-    counters_.preemption_restart_seconds += service_penalty;
+  if (penalty > 0) counters_.preemption_restart_seconds += penalty;
+  if (packing_on_) {
+    if (!from_reserve) ClaimPackedCapacity(worker, job.demand, 1.0, job.id);
+    ++counters_.packed_tasks;
+    packed_core_seconds_ += duration * job.demand[packing::PackDim::kCores];
   }
   RecordTaskStart(job, now);
   ++worker.tasks_started;
-  worker.busy = true;
-  worker.running_job = job.id;
-  worker.running_index = task_index;
-  worker.running_start = now;
-  worker.busy_until = now + duration;
-  RefreshLongBusy(worker);
+  Run run;
+  run.job = job.id;
+  run.task_index = task_index;
+  run.run_id = worker.next_run_id++;
+  run.start = now;
+  run.until = now + duration;
+  if (popped != nullptr) {
+    run.bypass_exhausted = popped->bypass_count >= config_.slack_threshold;
+    run.preempt_count = popped->preempt_count;
+  }
   total_busy_time_ += duration;
   Emit(EventType::kTaskStart, job.id, worker.id, task_index, duration);
-  worker.pending_event =
-      engine_.ScheduleAt(worker.busy_until, [this, wid = worker.id, duration] {
-        WorkerState& w = workers_[wid];
-        if (power_ != nullptr) {
-          // Per-SLA-class energy attainment: the exec draw was constant for
-          // the whole run (DVFS is blocked while executing), so watts x
-          // duration is this task's exact share of the meter's exec joules.
-          // Untenanted work lands in the batch bucket.
-          const std::uint8_t rank =
-              tenancy::PriorityRank(jobs_[w.running_job].priority);
-          class_exec_joules_[rank] += power_->watts(wid) * duration;
-          ++class_tasks_[rank];
-          const double watts = power_->OnExecEnd(wid, engine_.Now());
-          if (watts >= 0) {
-            Emit(EventType::kPowerState, obs::kNoId, wid, obs::kNoId, watts);
-          }
-        }
-        w.estimator.OnServiceComplete(duration);
-        if (tenancy_on_) {
-          const JobRuntime& j = jobs_[w.running_job];
-          if (tenants_.Known(j.tenant)) {
-            tenants_.state(j.tenant).usage_seconds += duration;
-          }
-        }
-        Emit(EventType::kTaskComplete, w.running_job, wid, w.running_index,
-             duration);
-        FinishService(w);
+  run.pending_event = engine_.ScheduleAt(
+      run.until, [this, wid = worker.id, rid = run.run_id, duration] {
+        FinishRun(wid, rid, duration);
       });
+  worker.runs.push_back(run);
+  RefreshLongBusy(worker);
 }
 
-void SchedulerBase::FinishService(WorkerState& worker) {
-  JobRuntime& job = jobs_[worker.running_job];
+void SchedulerBase::FinishRun(MachineId wid, std::uint32_t run_id,
+                              double duration) {
+  WorkerState& worker = workers_[wid];
+  const auto it = std::find_if(
+      worker.runs.begin(), worker.runs.end(),
+      [run_id](const Run& r) { return r.run_id == run_id; });
+  PHOENIX_CHECK_MSG(it != worker.runs.end(),
+                    "completion event for an evicted run");
+  const Run run = *it;
+  worker.runs.erase(it);
+  JobRuntime& job = jobs_[run.job];
   const sim::SimTime now = engine_.Now();
-  const std::uint32_t finished_index = worker.running_index;
+  if (power_ != nullptr) {
+    // Per-SLA-class energy: the exec draw is constant while the machine
+    // executes (DVFS is blocked meanwhile) and is split evenly across the
+    // runs sharing it — exact for a run alone, approximate under packing.
+    // Untenanted work lands in the batch bucket.
+    const double share =
+        power_->watts(wid) / static_cast<double>(worker.runs.size() + 1);
+    const std::uint8_t rank = tenancy::PriorityRank(job.priority);
+    class_exec_joules_[rank] += share * duration;
+    ++class_tasks_[rank];
+    if (worker.runs.empty()) {
+      const double watts = power_->OnExecEnd(wid, now);
+      if (watts >= 0) {
+        Emit(EventType::kPowerState, obs::kNoId, wid, obs::kNoId, watts);
+      }
+    }
+  }
+  if (packing_on_) ReleasePackedCapacity(worker, job.demand, 1.0, job.id);
+  worker.estimator.OnServiceComplete(duration);
+  if (tenancy_on_ && tenants_.Known(job.tenant)) {
+    tenants_.state(job.tenant).usage_seconds += duration;
+  }
+  Emit(EventType::kTaskComplete, job.id, wid, run.task_index, duration);
   ++job.completed;
   makespan_ = std::max(makespan_, now);
-  worker.running_job = trace::kInvalidJob;
   RefreshLongBusy(worker);
   if (job.Done()) {
     job.completion = now;
     ++jobs_done_;
     if (tenancy_on_) OnTenantJobComplete(job);
-    Emit(EventType::kJobComplete, job.id, worker.id, obs::kNoId,
+    Emit(EventType::kJobComplete, job.id, wid, obs::kNoId,
          now - job.spec->submit_time);
     if (deadline_on_) ScoreDeadline(job);
   } else if (DagManaged(job)) {
     // The finished task's successors may have become ready; dispatch them
     // (the last task to finish has none, so the Done branch skips this).
-    ReleaseDagSuccessors(job, finished_index);
+    ReleaseDagSuccessors(job, run.task_index);
+  } else if (job.malleable() && job.malleable_inflight > 0) {
+    --job.malleable_inflight;
+    TopUpMalleable(job);
   }
-  // Sticky batch probing never fetches from a DAG job: TakeNextTaskIndex
-  // hands out tasks in index order, released or not.
-  if (!job.AllPlaced() && job.placement() != trace::PlacementPref::kSpread &&
-      Bindable(worker.id) && !DagManaged(job) && UseStickyBatchProbing(job)) {
-    // Sticky batch probing: keep the slot and fetch the job's next task
-    // directly, skipping the probe queue (Eagle §"divide and stick").
-    // fetching_job marks the in-flight fetch so a machine failure can
-    // re-cover the job (see FailMachine).
+  // Sticky batch probing runs on single-slot workers only (a packed machine
+  // keeps pulling from its queue while runs execute) and never fetches from
+  // a DAG job: TakeNextTaskIndex hands out tasks in index order, released
+  // or not.
+  if (!packing_on_ && !job.AllPlaced() &&
+      job.placement() != trace::PlacementPref::kSpread && Bindable(wid) &&
+      !DagManaged(job) && UseStickyBatchProbing(job)) {
+    // Hold the control slot and fetch the job's next task directly,
+    // skipping the probe queue (Eagle §"divide and stick"). fetching_job
+    // marks the in-flight fetch so a machine failure can re-cover the job.
+    worker.busy = true;
     worker.fetching_job = job.id;
-    Emit(EventType::kStickyFetch, job.id, worker.id);
+    Emit(EventType::kStickyFetch, job.id, wid);
     worker.pending_call = rpc_.RoundTrip(
-        worker.id, net::kControllerNode, net::MessageKind::kFetchRequest,
-        one_way(),
-        [this, wid = worker.id, jid = job.id] {
+        wid, net::kControllerNode, net::MessageKind::kFetchRequest, one_way(),
+        [this, wid, jid = job.id] {
           WorkerState& w = workers_[wid];
           JobRuntime& j = jobs_[jid];
           w.pending_call = 0;
           w.fetching_job = trace::kInvalidJob;
           w.busy = false;
           if (!j.AllPlaced()) {
-            if (tenancy_on_) {
-              // A sticky-fetched task never sat in a queue: fresh state.
-              w.running_bypass_exhausted = false;
-              w.running_preempt_count = 0;
-            }
-            NoteRackCommitment(j, cluster_.rack_of(w.id));
-            StartService(w, j, TakeNextTaskIndex(j));
+            // A sticky-fetched task never sat in a queue: fresh state.
+            NoteRackCommitment(j, cluster_.rack_of(wid));
+            StartRun(w, j, TakeNextTaskIndex(j), nullptr);
           } else {
             TryStartNext(w);
           }
         },
-        [this, wid = worker.id, jid = job.id] { AbortStickyFetch(wid, jid); });
+        [this, wid, jid = job.id] { AbortStickyFetch(wid, jid); });
     return;
   }
-  worker.busy = false;
   TryStartNext(worker);
 }
 
@@ -1821,9 +1813,9 @@ bool SchedulerBase::TryStealFor(WorkerState& worker) {
 
 // ---- Multi-resource packing (src/packing) ---------------------------------
 //
-// Everything below is unreachable when packing_on_ is false: run lists stay
-// empty, residual ledgers never move, and the single-slot paths above remain
-// byte-identical to the pre-packing scheduler.
+// Everything below is inert when packing_on_ is false: residual ledgers
+// never move, no gang round ever opens, and a worker's run list holds at
+// most one run.
 
 void SchedulerBase::ClampDemandToHostable(JobRuntime& job) {
   // The satisfying pool and the capacity-fitting pool must intersect, or
@@ -1878,301 +1870,6 @@ void SchedulerBase::ReleasePackedCapacity(WorkerState& worker,
     Emit(EventType::kPackRelease, job, worker.id,
          static_cast<std::uint32_t>(d), demand.dim(d) * copies);
   }
-}
-
-void SchedulerBase::PackedTryStart(WorkerState& worker) {
-  // `busy` under packing means "control slot held for an in-flight fetch":
-  // one probe resolution at a time, so the residual the fetch validated is
-  // still meaningful when it lands.
-  if (worker.failed || worker.busy) return;
-  while (!worker.queue.empty()) {
-    std::size_t index = SelectNextIndex(worker);
-    PHOENIX_CHECK_MSG(index < worker.queue.size(),
-                      "queue discipline returned an out-of-range index");
-    if (tenancy_on_) {
-      const std::size_t promoted = PromoteByPriority(worker, index);
-      if (promoted != index) {
-        index = promoted;
-        ++counters_.tenant_priority_promotions;
-      }
-    }
-    if (deadline_on_) {
-      const std::size_t promoted = PromoteByDeadline(worker, index);
-      if (promoted != index) {
-        index = promoted;
-        ++counters_.deadline_promotions;
-      }
-    }
-    if (!PackedFits(worker, worker.queue[index])) {
-      ++counters_.pack_fit_rejections;
-      if (tenancy_on_ && TryPackedPreemptFor(worker, worker.queue[index])) {
-        continue;  // capacity freed now; re-run the selection
-      }
-      // Backfill: the first entry in queue order that does fit runs instead.
-      // The selected entry keeps its place and accrues bypass credit via
-      // PopQueueAt, so the starvation guard still sees it.
-      bool found = false;
-      for (std::size_t i = 0; i < worker.queue.size(); ++i) {
-        if (i == index) continue;
-        if (PackedFits(worker, worker.queue[i])) {
-          index = i;
-          found = true;
-          break;
-        }
-      }
-      if (!found) return;  // nothing fits: wait for a completion
-    }
-    QueueEntry entry = PopQueueAt(worker, index);
-    if (tenancy_on_) {
-      worker.running_bypass_exhausted =
-          entry.bypass_count >= config_.slack_threshold;
-      worker.running_preempt_count = entry.preempt_count;
-    }
-    if (entry.kind == QueueEntry::Kind::kBoundTask) {
-      StartPackedRun(worker, jobs_[entry.job], entry.task_index,
-                     entry.service_penalty, /*from_reserve=*/false);
-      continue;
-    }
-    // Probe: hold the control slot while fetching over one RTT (late
-    // binding), exactly like the single-slot path.
-    worker.busy = true;
-    worker.resolving = true;
-    worker.resolving_entry = entry;
-    worker.pending_call = rpc_.RoundTrip(
-        worker.id, net::kControllerNode, net::MessageKind::kFetchRequest,
-        one_way(),
-        [this, wid = worker.id, entry] {
-          WorkerState& w = workers_[wid];
-          w.pending_call = 0;
-          w.resolving = false;
-          ResolveProbe(w, entry);
-        },
-        [this, wid = worker.id, entry] { AbortProbeResolution(wid, entry); });
-    return;
-  }
-  if (worker.run_list.empty()) OnWorkerIdle(worker);
-}
-
-bool SchedulerBase::TryPackedPreemptFor(WorkerState& worker,
-                                        const QueueEntry& head) {
-  const JobRuntime& incoming = jobs_[head.job];
-  if (incoming.priority != tenancy::PriorityClass::kProd) return false;
-  if (head.kind == QueueEntry::Kind::kProbe && incoming.AllPlaced()) {
-    return false;  // would dissolve at resolution; never kill work for it
-  }
-  if (membership_ != nullptr && !membership_->Bindable(worker.id)) {
-    ++counters_.preemptions_blocked_lifecycle;
-    return false;
-  }
-  // Newest best-effort run first: LIFO minimizes the served work lost.
-  for (std::size_t i = worker.run_list.size(); i-- > 0;) {
-    JobRuntime& victim = jobs_[worker.run_list[i].job];
-    if (victim.priority != tenancy::PriorityClass::kBestEffort) continue;
-    if (preempt_policy_.Judge(incoming.priority, victim.priority,
-                              worker.running_bypass_exhausted,
-                              worker.running_preempt_count) !=
-        tenancy::PreemptVerdict::kPreempt) {
-      continue;
-    }
-    if (tenants_.Known(incoming.tenant)) {
-      ++tenants_.state(incoming.tenant).preemptions_issued;
-    }
-    const PackedRun run = worker.run_list[i];
-    worker.run_list.erase(worker.run_list.begin() +
-                          static_cast<std::ptrdiff_t>(i));
-    engine_.Cancel(run.pending_event);
-    const sim::SimTime now = engine_.Now();
-    const double remaining = std::max(0.0, run.until - now);
-    const double elapsed = std::max(0.0, now - run.start);
-    ReleasePackedCapacity(worker, victim.demand, 1.0, victim.id);
-    if (power_ != nullptr && worker.run_list.empty()) {
-      const double watts = power_->OnExecEnd(worker.id, now);
-      if (watts >= 0) {
-        Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-      }
-    }
-    total_busy_time_ -= remaining;
-    packed_core_seconds_ -=
-        remaining * victim.demand[packing::PackDim::kCores];
-    counters_.preemption_lost_seconds += elapsed;
-    ++counters_.preemptions_issued;
-    ++victim.preemptions;
-    if (tenants_.Known(victim.tenant)) {
-      ++tenants_.state(victim.tenant).preemptions_suffered;
-    }
-    Emit(EventType::kPreemptIssue, victim.id, worker.id, run.task_index,
-         elapsed);
-    // Requeue locally with the restart cost — one control action, no fabric
-    // transit, so chaos cannot strand the victim.
-    QueueEntry entry;
-    entry.kind = QueueEntry::Kind::kBoundTask;
-    entry.job = victim.id;
-    entry.task_index = run.task_index;
-    entry.est_duration = EstimatedTaskDuration(victim);
-    entry.enqueue_time = now;
-    entry.short_class = victim.short_class;
-    entry.service_penalty = config_.tenancy.preemption_restart_cost;
-    entry.preempt_count = static_cast<std::uint8_t>(
-        std::min<std::size_t>(worker.running_preempt_count + 1, 255));
-    worker.queue.push_back(entry);
-    worker.est_queued_work += entry.est_duration;
-    if (!entry.short_class) ++worker.long_entries;
-    worker.estimator.OnArrival(now);
-    OnEntryEnqueued(worker, entry);
-    TenantQueuedDelta(entry, +1);
-    ++counters_.preemption_requeues;
-    Emit(EventType::kPreemptRequeue, victim.id, worker.id, run.task_index);
-    RefreshLongBusy(worker);
-    return true;
-  }
-  return false;
-}
-
-void SchedulerBase::StartPackedRun(WorkerState& worker, JobRuntime& job,
-                                   std::uint32_t task_index,
-                                   double service_penalty, bool from_reserve) {
-  const sim::SimTime now = engine_.Now();
-  double duration = job.ActualDuration(task_index) + service_penalty;
-  if (power_ != nullptr) {
-    if (worker.run_list.empty() && power_->p_state(worker.id) != 0 &&
-        !power_->executing(worker.id)) {
-      ++counters_.power_dvfs_raises;
-      const double boosted = power_->SetPState(worker.id, 0, now);
-      Emit(EventType::kPowerDvfs, obs::kNoId, worker.id, 0, boosted);
-      Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, boosted);
-    }
-    duration *= power_->SpeedMultiplier(worker.id);
-    if (worker.run_list.empty()) {
-      // Exec metering opens on the 0 -> 1 run transition only; concurrent
-      // runs share the machine's single exec draw.
-      const double watts = power_->OnExecBegin(worker.id, now);
-      if (watts >= 0) {
-        Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-      }
-    }
-  }
-  if (service_penalty > 0) {
-    counters_.preemption_restart_seconds += service_penalty;
-  }
-  if (!from_reserve) {
-    ClaimPackedCapacity(worker, job.demand, 1.0, job.id);
-  }
-  RecordTaskStart(job, now);
-  ++worker.tasks_started;
-  ++counters_.packed_tasks;
-  PackedRun run;
-  run.job = job.id;
-  run.task_index = task_index;
-  run.run_id = worker.next_run_id++;
-  run.start = now;
-  run.until = now + duration;
-  total_busy_time_ += duration;
-  packed_core_seconds_ += duration * job.demand[packing::PackDim::kCores];
-  Emit(EventType::kTaskStart, job.id, worker.id, task_index, duration);
-  run.pending_event = engine_.ScheduleAt(
-      run.until, [this, wid = worker.id, rid = run.run_id, duration] {
-        FinishPackedRun(wid, rid, duration);
-      });
-  worker.run_list.push_back(run);
-  RefreshLongBusy(worker);
-}
-
-void SchedulerBase::FinishPackedRun(MachineId wid, std::uint32_t run_id,
-                                    double duration) {
-  WorkerState& worker = workers_[wid];
-  std::size_t slot = worker.run_list.size();
-  for (std::size_t i = 0; i < worker.run_list.size(); ++i) {
-    if (worker.run_list[i].run_id == run_id) {
-      slot = i;
-      break;
-    }
-  }
-  PHOENIX_CHECK_MSG(slot < worker.run_list.size(),
-                    "completion event for an evicted packed run");
-  const PackedRun run = worker.run_list[slot];
-  worker.run_list.erase(worker.run_list.begin() +
-                        static_cast<std::ptrdiff_t>(slot));
-  JobRuntime& job = jobs_[run.job];
-  const sim::SimTime now = engine_.Now();
-  if (power_ != nullptr) {
-    // Per-class energy under packing: the machine's exec draw is split
-    // evenly across the runs sharing it (this one included) — approximate
-    // under concurrency, exact when the run was alone.
-    const double share =
-        power_->watts(wid) / static_cast<double>(worker.run_list.size() + 1);
-    const std::uint8_t rank = tenancy::PriorityRank(job.priority);
-    class_exec_joules_[rank] += share * duration;
-    ++class_tasks_[rank];
-    if (worker.run_list.empty()) {
-      const double watts = power_->OnExecEnd(wid, now);
-      if (watts >= 0) {
-        Emit(EventType::kPowerState, obs::kNoId, wid, obs::kNoId, watts);
-      }
-    }
-  }
-  ReleasePackedCapacity(worker, job.demand, 1.0, job.id);
-  worker.estimator.OnServiceComplete(duration);
-  if (tenancy_on_ && tenants_.Known(job.tenant)) {
-    tenants_.state(job.tenant).usage_seconds += duration;
-  }
-  Emit(EventType::kTaskComplete, job.id, wid, run.task_index, duration);
-  ++job.completed;
-  makespan_ = std::max(makespan_, now);
-  RefreshLongBusy(worker);
-  if (job.Done()) {
-    job.completion = now;
-    ++jobs_done_;
-    if (tenancy_on_) OnTenantJobComplete(job);
-    Emit(EventType::kJobComplete, job.id, wid, obs::kNoId,
-         now - job.spec->submit_time);
-    if (deadline_on_) ScoreDeadline(job);
-  } else if (DagManaged(job)) {
-    ReleaseDagSuccessors(job, run.task_index);
-  } else if (job.malleable() && job.malleable_inflight > 0) {
-    --job.malleable_inflight;
-    TopUpMalleable(job);
-  }
-  PackedTryStart(worker);
-}
-
-void SchedulerBase::EvictPackedRuns(WorkerState& worker) {
-  if (worker.run_list.empty()) return;
-  const sim::SimTime now = engine_.Now();
-  std::vector<PackedRun> runs;
-  runs.swap(worker.run_list);
-  if (power_ != nullptr) {
-    const double watts = power_->OnExecEnd(worker.id, now);
-    if (watts >= 0) {
-      Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-    }
-  }
-  for (const PackedRun& run : runs) {
-    engine_.Cancel(run.pending_event);
-    JobRuntime& job = jobs_[run.job];
-    const double remaining = std::max(0.0, run.until - now);
-    ReleasePackedCapacity(worker, job.demand, 1.0, job.id);
-    total_busy_time_ -= remaining;
-    packed_core_seconds_ -= remaining * job.demand[packing::PackDim::kCores];
-    job.replay_tasks.push_back(run.task_index);
-    Emit(EventType::kTaskKill, job.id, worker.id, run.task_index);
-    // Malleable inflight is NOT decremented: the replay below re-covers the
-    // task, so it stays "placed" for the width accounting.
-    QueueEntry entry;
-    entry.job = job.id;
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
-    if (UsesDistributedPlane(job) && !job.gang() && !job.malleable() &&
-        !DagManaged(job)) {
-      entry.kind = QueueEntry::Kind::kProbe;
-    } else {
-      // Gang/malleable/DAG replays re-bind (DAG: a probe could fetch an
-      // unreleased task; the killed index just pushed is popped right back).
-      entry.kind = QueueEntry::Kind::kBoundTask;
-      entry.task_index = TakeNextTaskIndex(job);
-    }
-    RedispatchEntry(std::move(entry), one_way());
-  }
-  RefreshLongBusy(worker);
 }
 
 MachineId SchedulerBase::PickBestPacked(
@@ -2419,8 +2116,8 @@ void SchedulerBase::CommitGang(JobId id) {
   // Atomic co-start: every member begins now, consuming the capacity its
   // reservation already claimed.
   for (auto& [wid, entry] : g.staged) {
-    StartPackedRun(workers_[wid], job, entry.task_index, entry.service_penalty,
-                   /*from_reserve=*/true);
+    StartRun(workers_[wid], job, entry.task_index, &entry,
+             /*from_reserve=*/true);
   }
 }
 

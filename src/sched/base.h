@@ -7,7 +7,9 @@
 //     binding (a probe reaching a worker's slot fetches the job's next
 //     unplaced task over one RTT, or resolves to a no-op),
 //   * the centralized plane: power-of-d least-loaded early binding,
-//   * the single-slot worker loop with pluggable queue discipline,
+//   * the worker loop with pluggable queue discipline: every machine keeps
+//     one run list (a single-slot worker has room for one run, a packed
+//     machine for as many as its residual capacity admits),
 //   * per-worker P-K wait estimators and the heartbeat tick,
 //   * control-plane message delivery through a net::NetworkFabric + Rpc
 //     pair (latency models, chaos injection, timeout/retry), owned here so
@@ -128,15 +130,16 @@ class SchedulerBase {
 
   enum class DrainReason : std::uint8_t { kScaleDown, kReclamation };
 
-  /// active -> draining: cancels any slot-holding fetch (it would bind new
-  /// work here), bounces queued probes elsewhere, and keeps queued bound
-  /// tasks, which may still start and finish during the grace period.
+  /// active -> draining: cancels any fetch holding the control slot (it
+  /// would bind new work here), bounces queued probes elsewhere, and keeps
+  /// runs and queued bound tasks, which may still start and finish during
+  /// the grace period.
   void DrainMachine(cluster::MachineId id,
                     DrainReason reason = DrainReason::kScaleDown);
 
-  /// draining -> retired. Graceful (`force` false) succeeds only on an idle
-  /// machine with an empty queue (returns false otherwise); forced evicts
-  /// the running task and queue, redispatching everything elsewhere.
+  /// draining -> retired. Graceful (`force` false) succeeds only on a
+  /// machine holding no work (returns false otherwise); forced evicts the
+  /// runs and queue, redispatching everything elsewhere.
   bool RetireMachine(cluster::MachineId id, bool force);
 
   // ---- Power management ---------------------------------------------------
@@ -151,7 +154,7 @@ class SchedulerBase {
   const power::PowerManager* power() const { return power_; }
 
   /// active/draining -> parked deep sleep. Refuses (returns false) when the
-  /// machine holds any work (busy slot or non-empty queue), is failed, or
+  /// machine holds any work (a fetch, runs, or queued entries), is failed, or
   /// is not active/draining — so the park policy and the elastic
   /// park-instead-of-retire path share one safety check. The parked
   /// worker's estimator advertises the wake-cost penalty as its E[W].
@@ -195,7 +198,7 @@ class SchedulerBase {
   // ---- Deterministic fault injection -------------------------------------
 
   /// Fails machine `id` immediately (same path as stochastic injection:
-  /// kills the running task or in-flight slot event, drains the queue).
+  /// cancels the in-flight fetch, kills the runs, drains the queue).
   /// Unlike stochastic failures no automatic repair is scheduled — pair
   /// with InjectRepair. No-op if the machine is already down.
   void InjectFailure(cluster::MachineId id);
@@ -279,8 +282,18 @@ class SchedulerBase {
   /// steals — the entries in front are not being overtaken by execution).
   QueueEntry RemoveQueueAt(WorkerState& worker, std::size_t index);
 
-  /// If the worker is free, picks the next entry and runs it.
+  /// Starts queued entries while the worker has room: the discipline's
+  /// pick first, then (packed backfill) the first entry that fits. A probe
+  /// takes the control slot for its fetch and ends the pass.
   void TryStartNext(WorkerState& worker);
+
+  /// Nothing queued, no fetch in flight, and room for another run — a
+  /// single-slot worker is full while it runs; a packed machine's fit is
+  /// checked when the stolen entry lands. Hawk's heartbeat steals for these.
+  bool WantsWork(const WorkerState& worker) const {
+    return !worker.busy && worker.queue.empty() &&
+           (packing_on_ || worker.runs.empty());
+  }
 
   /// Attempts one Hawk-style steal for an idle worker: contacts
   /// steal_candidates random workers and moves over the first short probe
@@ -432,13 +445,15 @@ class SchedulerBase {
   /// InjectFailure, whose caller controls repair timing).
   void FailMachine(WorkerState& worker, bool auto_repair);
   void RepairMachine(WorkerState& worker);
-  /// Evicts whatever holds the worker's slot and re-covers its work: a
-  /// running task is killed and replayed (only when `kill_running`,
-  /// otherwise left to finish), a resolving probe is bounced, a sticky
-  /// fetch's job is re-covered. Shared by the failure and forced-retire
-  /// paths; a drain uses it with kill_running=false to free a fetch-held
-  /// slot without interrupting execution.
-  void EvictSlotWork(WorkerState& worker, bool kill_running);
+  /// Evicts the worker's in-flight work and re-covers it: the fetch holding
+  /// the control slot is cancelled (its probe bounced, its sticky job
+  /// re-covered), then — only when `kill_runs` — every run is killed and
+  /// replayed elsewhere and the machine's share of open gang rounds is
+  /// released. Shared by the failure and forced-retire paths; a drain
+  /// passes kill_runs=false to free the control slot only.
+  void EvictWork(WorkerState& worker, bool kill_runs);
+  /// Re-dispatches the rest of a job whose sticky-batch fetch was lost.
+  void RecoverStickyFetch(JobRuntime& job);
   /// Closes the in-service machine-seconds integral at the current time
   /// (call before in_service_count_ changes).
   void AccrueInService();
@@ -463,11 +478,8 @@ class SchedulerBase {
   /// re-cover the held probe / fetched job.
   void AbortProbeResolution(cluster::MachineId wid, QueueEntry entry);
   void AbortStickyFetch(cluster::MachineId wid, trace::JobId jid);
-  /// Cancels whatever holds the worker's slot: the fetch call if one is
-  /// live, else the pending engine event (task completion).
-  void CancelSlotEvent(WorkerState& worker);
   /// Recomputes the worker's dense LongBusy flag. Called at every site
-  /// mutating long_entries or the running-task identity; the recompute
+  /// mutating long_entries or the run list; the recompute
   /// keeps one definition of "holds long work" instead of incremental
   /// updates that could drift from it.
   void RefreshLongBusy(const WorkerState& worker);
@@ -481,9 +493,19 @@ class SchedulerBase {
   cluster::MachineId PickLeastLoadedLive(
       const std::vector<cluster::MachineId>& candidates, JobRuntime& job);
   void ResolveProbe(WorkerState& worker, QueueEntry entry);
-  void StartService(WorkerState& worker, JobRuntime& job,
-                    std::uint32_t task_index, double service_penalty = 0);
-  void FinishService(WorkerState& worker);
+  /// The worker has room to start `entry` now: a single-slot worker when it
+  /// runs nothing, a packed machine when the demand fits its residual.
+  bool HasRoom(const WorkerState& worker, const QueueEntry& entry) const;
+  /// Starts task `task_index` of `job` as a new run on `worker`. `popped` is
+  /// the entry it came from — its restart penalty and starvation/preemption
+  /// state travel with the run — or null for a task that never queued (a
+  /// sticky fetch). `from_reserve` marks gang members whose capacity was
+  /// claimed at reservation time.
+  void StartRun(WorkerState& worker, JobRuntime& job, std::uint32_t task_index,
+                const QueueEntry* popped, bool from_reserve = false);
+  /// Completion event of run `run_id` on `wid`.
+  void FinishRun(cluster::MachineId wid, std::uint32_t run_id,
+                 double duration);
   /// One heartbeat of `shard`'s territory (shard 0 covers the whole fleet
   /// when federation is off); each shard runs its own tick chain.
   void HeartbeatTick(std::uint32_t shard);
@@ -510,24 +532,6 @@ class SchedulerBase {
   void ReleasePackedCapacity(WorkerState& worker,
                              const packing::ResourceVector& demand,
                              double copies, trace::JobId job);
-  /// The packed worker loop: starts every queued entry that fits the
-  /// residual vector (selection discipline first, then first-fit down the
-  /// queue), holding the control slot only for probe-resolution RTTs.
-  void PackedTryStart(WorkerState& worker);
-  /// Starts one task as a packed run. `from_reserve` marks gang members
-  /// whose capacity was already claimed at reservation time.
-  void StartPackedRun(WorkerState& worker, JobRuntime& job,
-                      std::uint32_t task_index, double service_penalty,
-                      bool from_reserve);
-  void FinishPackedRun(cluster::MachineId wid, std::uint32_t run_id,
-                       double duration);
-  /// Kills every packed run on a failed / force-retired machine, releasing
-  /// capacity and replaying the tasks elsewhere.
-  void EvictPackedRuns(WorkerState& worker);
-  /// Tenancy-under-packing: queue head is prod and does not fit — kill the
-  /// newest best-effort run whose release would admit it. Returns true if a
-  /// victim was preempted (capacity frees now; the head starts this pass).
-  bool TryPackedPreemptFor(WorkerState& worker, const QueueEntry& head);
   /// Best packing score among live fitting candidates (lowest id ties);
   /// least-loaded among live ones when nothing fits (the task queues).
   cluster::MachineId PickBestPacked(
@@ -581,13 +585,14 @@ class SchedulerBase {
   /// Per-tenant constrained-queue-pressure accounting (sign = +1 enqueue,
   /// -1 dequeue), behind TenantRegistry::ConstrainedShare.
   void TenantQueuedDelta(const QueueEntry& entry, double sign);
-  /// A prod-class entry just enqueued behind a running best-effort task:
-  /// consult the PreemptionPolicy and kill-and-requeue the victim if it
-  /// rules kPreempt.
+  /// A prod-class entry was just delivered and has no room to start: judge
+  /// the runs newest first, each by its own snapshot, and kill-and-requeue
+  /// eligible best-effort victims until the entry has room. Guard and cap
+  /// blocks are counted for every victim they save.
   void MaybePreemptFor(WorkerState& worker, const QueueEntry& entry);
-  /// Kill the running task and requeue it on the same worker with the
+  /// Kills run `index` and requeues its task on the same worker with the
   /// modeled restart cost. Emits PREEMPT_ISSUE / PREEMPT_REQUEUE.
-  void PreemptRunning(WorkerState& worker);
+  void PreemptRun(WorkerState& worker, std::size_t index);
   /// Priority-class promotion over the discipline's choice: the first
   /// queued entry of a strictly higher class than `chosen`'s runs instead
   /// (never overrides a slack-guard selection).
@@ -701,9 +706,8 @@ class SchedulerBase {
   std::array<std::uint64_t, 3> class_tasks_{};
 
   /// Multi-resource packing state. packing_on_ gates every packing touch
-  /// point so a default config never enters a packing branch: run lists
-  /// stay empty, HoldsWork() degenerates to busy-or-queued, and the single
-  /// slot-per-machine path is byte-identical to the pre-packing scheduler.
+  /// point — room per run, the capacity ledger, packing placement — so a
+  /// default config keeps the paper's one-run-per-worker model.
   bool packing_on_ = false;
   packing::ResourceVector max_capacity_;    // component-wise fleet max
   packing::ResourceVector fleet_capacity_;  // component-wise fleet sum

@@ -44,7 +44,7 @@ void HawkScheduler::OnHeartbeat(cluster::MachineId lo,
                                 cluster::MachineId hi) {
   for (cluster::MachineId i = lo; i < hi; ++i) {
     WorkerState& w = worker(i);
-    if (!w.busy && w.queue.empty()) TryStealFor(w);
+    if (WantsWork(w)) TryStealFor(w);
   }
 }
 

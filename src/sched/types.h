@@ -108,7 +108,7 @@ struct SchedulerConfig {
 
   // Failure injection (0 disables). Machines fail with exponential
   // inter-failure times of mean machine_mtbf seconds; a failed machine's
-  // queue is re-dispatched, its running task is replayed elsewhere, and the
+  // queue is re-dispatched, its runs are replayed elsewhere, and the
   // machine returns after an exponential repair of mean machine_mttr.
   double machine_mtbf = 0.0;
   double machine_mttr = 600.0;
@@ -248,38 +248,41 @@ struct JobRuntime {
   }
 };
 
-/// One concurrently executing task on a multi-slot (packed) worker. The
-/// single-slot model keeps its scalar running_* fields; under packing each
-/// machine instead carries a run list bounded by its capacity vector.
-struct PackedRun {
+/// One executing task. Every worker keeps its executing tasks in a run
+/// list: a single-slot worker (§V-A) is a machine with room for one run, a
+/// packed one runs as many as its residual capacity vector admits.
+struct Run {
   trace::JobId job = trace::kInvalidJob;
   std::uint32_t task_index = 0;
-  /// Ties the completion event to this run (run_list indices shift).
+  /// Ties the completion event to this run (run-list indices shift).
   std::uint32_t run_id = 0;
   /// The cancellable completion event for this run.
   std::uint64_t pending_event = 0;
   sim::SimTime start = 0;
   sim::SimTime until = 0;
+  /// Tenancy: the popped entry's starvation/preemption state, which the
+  /// preemption policy judges this run by (fresh for a sticky fetch).
+  bool bypass_exhausted = false;
+  std::uint8_t preempt_count = 0;
 };
 
 /// Worker queue storage, pooled in the scheduler's arena (deque chunks are
 /// the steady-state allocation churn of a run).
 using EntryQueue = std::deque<QueueEntry, util::ArenaAllocator<QueueEntry>>;
 
-/// Runtime state of one worker (single execution slot + queue, §V-A; under
-/// packing the slot becomes a residual-capacity ledger plus a run list).
+/// Runtime state of one worker: a queue, a control slot for fetches, and a
+/// run list (one run at most on a single-slot worker; bounded by the
+/// residual-capacity ledger under packing).
 struct WorkerState {
   cluster::MachineId id = cluster::kInvalidMachine;
   EntryQueue queue;
 
-  /// True while the slot is held: resolving a probe, fetching, or executing.
+  /// True while a fetch holds the control slot: a probe resolution or a
+  /// sticky-batch fetch (one at a time per worker).
   bool busy = false;
-  trace::JobId running_job = trace::kInvalidJob;
-  std::uint32_t running_index = 0;
-  sim::SimTime busy_until = 0;
 
-  /// Sum of est_duration of queued entries plus the running remainder —
-  /// the load signal for least-loaded placement and rebalancing.
+  /// Sum of est_duration of queued entries — the load signal for
+  /// least-loaded placement and rebalancing.
   double est_queued_work = 0;
 
   /// Count of long (centrally bound) entries queued or running; drives the
@@ -302,30 +305,24 @@ struct WorkerState {
   /// never served anything (wasted-warm-up accounting).
   std::uint64_t tasks_started = 0;
 
-  /// Tenancy: snapshot of the running entry's starvation/preemption state,
-  /// taken when the entry was popped for execution. Read only while
-  /// running_job is valid; zero-tenant runs never read them.
-  bool running_bypass_exhausted = false;
-  std::uint8_t running_preempt_count = 0;
-  /// When the running task started (elapsed service lost on a preemption).
-  sim::SimTime running_start = 0;
-
   /// Failure injection: machine is currently down.
   bool failed = false;
-  /// The cancellable in-flight event while the slot is held for a running
-  /// task's completion. Slot-holding fetches use pending_call instead.
-  std::uint64_t pending_event = 0;
-  /// The live fetch RPC holding the slot (probe resolution or sticky-batch
-  /// fetch); 0 when the slot is idle or executing. A machine failure
-  /// cancels this call the way it cancels pending_event.
+  /// The live fetch RPC holding the control slot; 0 when no fetch is in
+  /// flight. A machine failure cancels it with the runs' completions.
   std::uint64_t pending_call = 0;
-  /// Valid while the slot is held for a probe resolution (so a failure can
-  /// re-dispatch the probe).
+  /// Valid while the control slot is held for a probe resolution (so a
+  /// failure can re-dispatch the probe).
   bool resolving = false;
   QueueEntry resolving_entry;
-  /// Valid while the slot is held for a sticky-batch fetch (so a failure
-  /// can re-cover the fetched job instead of relying on leftover probes).
+  /// Valid while the control slot is held for a sticky-batch fetch (so a
+  /// failure can re-cover the fetched job instead of relying on leftover
+  /// probes).
   trace::JobId fetching_job = trace::kInvalidJob;
+
+  /// Tasks executing on this machine.
+  std::vector<Run> runs;
+  /// Monotone run-id source for this machine's completion events.
+  std::uint32_t next_run_id = 0;
 
   // ---- Packing (capacity == residual == zero when packing is off) ---------
   /// Static capacity vector derived from the machine's attributes.
@@ -334,18 +331,11 @@ struct WorkerState {
   /// auditor's conservation rule re-integrates claim/release events against
   /// this ledger.
   packing::ResourceVector residual;
-  /// Tasks executing concurrently on this machine.
-  std::vector<PackedRun> run_list;
-  /// Monotone run-id source for this machine's completion events.
-  std::uint32_t next_run_id = 0;
 
-  /// True when the machine holds any work: the single slot (busy covers
-  /// running, probe-resolving, and fetching), queued entries, or — under
-  /// packing — live packed runs. Park/retire/free-slot decisions use this;
-  /// run_list is always empty when packing is off, so the predicate
-  /// degenerates to the original busy-or-queued test.
+  /// True when the machine holds any work: a fetch, queued entries, or
+  /// runs. Park/retire/free-slot decisions use this.
   bool HoldsWork() const {
-    return busy || !queue.empty() || !run_list.empty();
+    return busy || !queue.empty() || !runs.empty();
   }
 
   explicit WorkerState(std::size_t estimator_window,

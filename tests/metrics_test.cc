@@ -1,6 +1,10 @@
 // Unit tests for percentiles, CDFs, time series and the simulation report.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+
 #include "metrics/percentile.h"
 #include "metrics/report.h"
 #include "metrics/timeseries.h"
@@ -216,6 +220,38 @@ TEST(SimReportDeathTest, OverUtilizationAborts) {
   SimReport r = MakeReport();
   r.total_busy_time = 1e6;
   EXPECT_DEATH(r.CheckInvariants(), "utilization");
+}
+
+// The fingerprint must move with every counter (it hashes the whole block,
+// not a hand-kept field list) and with the outcome fields the golden table
+// relies on, and stay put for host wall time.
+TEST(Fingerprint, CoversEveryCounterAndOutcomeField) {
+  const SimReport base = MakeReport();
+  const std::string fp = Fingerprint(base);
+  EXPECT_EQ(Fingerprint(MakeReport()), fp);
+
+  constexpr std::size_t kWords = sizeof(SchedulerCounters) / 8;
+  for (std::size_t i = 0; i < kWords; ++i) {
+    SimReport r = base;
+    std::uint64_t words[kWords];
+    std::memcpy(words, &r.counters, sizeof words);
+    words[i] ^= 1;
+    std::memcpy(&r.counters, words, sizeof words);
+    EXPECT_NE(Fingerprint(r), fp) << "counter word " << i;
+  }
+
+  SimReport tenant = base;
+  tenant.jobs[1].tenant = 2;
+  EXPECT_NE(Fingerprint(tenant), fp);
+  SimReport priority = base;
+  priority.jobs[2].priority = 0;
+  EXPECT_NE(Fingerprint(priority), fp);
+  SimReport events = base;
+  events.events_fired = 1;
+  EXPECT_NE(Fingerprint(events), fp);
+  SimReport wall = base;
+  wall.sim_wall_seconds = 3.5;
+  EXPECT_EQ(Fingerprint(wall), fp);
 }
 
 TEST(Speedup, RatioOfPercentiles) {

@@ -227,6 +227,39 @@ TEST(Obs, AuditorCatchesUndrainedFinalState) {
   EXPECT_NE(a.Summary().find("queued entries"), std::string::npos);
 }
 
+TEST(Obs, AuditorCatchesRunOnFailedMachine) {
+  obs::InvariantAuditor a;
+  a.CheckRun(10.0, 2, /*job=*/7, /*task=*/1, /*failed=*/true,
+             /*out_of_service=*/false, /*completion_pending=*/true,
+             /*final_state=*/false);
+  ASSERT_FALSE(a.ok());
+  EXPECT_NE(a.Summary().find("while failed"), std::string::npos);
+}
+
+TEST(Obs, AuditorCatchesRunOnOutOfServiceMachine) {
+  obs::InvariantAuditor a;
+  a.CheckRun(10.0, 2, 7, 1, /*failed=*/false, /*out_of_service=*/true,
+             /*completion_pending=*/true, /*final_state=*/false);
+  ASSERT_FALSE(a.ok());
+  EXPECT_NE(a.Summary().find("out of service"), std::string::npos);
+}
+
+TEST(Obs, AuditorCatchesRunWithoutPendingCompletion) {
+  obs::InvariantAuditor a;
+  a.CheckRun(10.0, 2, 7, 1, /*failed=*/false, /*out_of_service=*/false,
+             /*completion_pending=*/false, /*final_state=*/false);
+  ASSERT_FALSE(a.ok());
+  EXPECT_NE(a.Summary().find("stranded run"), std::string::npos);
+}
+
+TEST(Obs, AuditorCatchesRunLeftAtEnd) {
+  obs::InvariantAuditor a;
+  a.CheckRun(99.0, 0, 7, 1, /*failed=*/false, /*out_of_service=*/false,
+             /*completion_pending=*/true, /*final_state=*/true);
+  ASSERT_FALSE(a.ok());
+  EXPECT_NE(a.Summary().find("after the run drained"), std::string::npos);
+}
+
 // ---------------------------------------------------------------- writers
 
 TEST(Obs, JsonlStreamIsWellFormed) {

@@ -186,7 +186,7 @@ TEST(ParkTransitions, ParkIsVetoedWhileMachineHoldsWork) {
   PoweredHarness h(cl, OneTaskTrace(0.0, 50.0), PowerOn(false, false));
   h.engine.ScheduleAfter(10.0, [&] {
     // The single machine is mid-execution: parking would strand the task.
-    EXPECT_TRUE(h.scheduler->worker_state(0).busy);
+    EXPECT_FALSE(h.scheduler->worker_state(0).runs.empty());
     EXPECT_FALSE(h.scheduler->ParkMachine(0));
     EXPECT_EQ(h.view.state(0), MachineLifecycle::kActive);
   });

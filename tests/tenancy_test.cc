@@ -238,12 +238,25 @@ trace::Trace PreemptDuelTrace() {
   return t;
 }
 
-metrics::SimReport RunDuel(runner::RunOptions o) {
+// The duel under packing: both jobs claim the whole machine (trace-supplied
+// cpu request 1.0 of the largest machine), so the prod task cannot start
+// beside the running best-effort task.
+trace::Trace PackedDuelTrace() {
+  trace::Trace t = PreemptDuelTrace();
+  std::vector<trace::Job> jobs = t.jobs();
+  for (trace::Job& j : jobs) j.req_cpu = 1.0;
+  trace::Trace packed("packed-preempt-duel", jobs);
+  packed.set_short_cutoff(10.0);
+  return packed;
+}
+
+metrics::SimReport RunDuel(runner::RunOptions o,
+                           const trace::Trace& t = PreemptDuelTrace()) {
   const auto cl = cluster::BuildCluster({.num_machines = 1, .seed = 3});
   o.scheduler = "phoenix";
   o.config.seed = 3;
   o.obs.audit = true;  // conservation + payload rules checked online
-  return runner::RunSimulation(PreemptDuelTrace(), cl, o);
+  return runner::RunSimulation(t, cl, o);
 }
 
 const metrics::JobOutcome& JobById(const metrics::SimReport& r,
@@ -321,6 +334,78 @@ TEST(Tenancy, PreemptionDisabledByConfig) {
   EXPECT_EQ(report.counters.preemptions_blocked_guard, 0u);
   EXPECT_EQ(report.counters.preemptions_blocked_cap, 0u);
   EXPECT_DOUBLE_EQ(report.counters.preemption_restart_seconds, 0.0);
+}
+
+// The blocked-preemption counters mean the same thing in both worker
+// models: a packed prod arrival that finds its only victim guarded or
+// capped counts the block instead of passing over it silently.
+TEST(Tenancy, PackedPreemptionCountsGuardAndCapBlocks) {
+  runner::RunOptions o;
+  o.config.tenancy = DuelTenants();
+  o.config.packing.enabled = true;
+
+  runner::RunOptions capped = o;
+  capped.config.tenancy.max_preemptions_per_task = 0;
+  const auto cap = RunDuel(capped, PackedDuelTrace());
+  cap.CheckInvariants();
+  EXPECT_EQ(cap.counters.preemptions_issued, 0u);
+  EXPECT_GE(cap.counters.preemptions_blocked_cap, 1u);
+
+  runner::RunOptions guarded = o;
+  guarded.config.slack_threshold = 0;
+  const auto guard = RunDuel(guarded, PackedDuelTrace());
+  guard.CheckInvariants();
+  EXPECT_EQ(guard.counters.preemptions_issued, 0u);
+  EXPECT_GE(guard.counters.preemptions_blocked_guard, 1u);
+  EXPECT_GT(JobById(guard, 1).max_task_wait, 100.0);
+}
+
+// A victim is judged by its own run, not by whatever the worker popped
+// last. One packed machine fits two tasks (cpu request 0.5 each) and the
+// cap is one preemption per task:
+//   t=0  best-effort A starts      t=1  batch B fills the machine
+//   t=5  prod P1 preempts A        t~15 P1 ends, A restarts (preempted once)
+//   t=16 batch C queues, takes B's room when B ends at t~21
+//   t=25 prod P2 arrives: A is capped, C is batch, so nothing is preempted.
+// Judging A by C's state (never preempted) would kill A a second time.
+TEST(Tenancy, PackedVictimIsJudgedByItsOwnRun) {
+  const auto job = [](trace::JobId id, double submit, double duration,
+                      std::uint16_t tenant) {
+    trace::Job j;
+    j.id = id;
+    j.submit_time = submit;
+    j.task_durations = {duration};
+    j.tenant = tenant;
+    j.short_job = false;
+    j.req_cpu = 0.5;
+    return j;
+  };
+  // Tenants: 0 prod, 1 best-effort, 2 batch.
+  trace::Trace t("packed-cap", {job(0, 0.0, 100.0, 1), job(1, 1.0, 20.0, 2),
+                                job(2, 5.0, 10.0, 0), job(3, 16.0, 50.0, 2),
+                                job(4, 25.0, 10.0, 0)});
+  t.set_short_cutoff(10.0);
+  const auto cl = cluster::BuildCluster({.num_machines = 1, .seed = 3});
+  for (const bool packing : {false, true}) {
+    runner::RunOptions o;
+    o.scheduler = "central-c";
+    o.config.seed = 3;
+    o.config.tenancy = DuelTenants();
+    o.config.tenancy.tenants.push_back(
+        {"batch", PriorityClass::kBatch, 0.0, 0.0, 0.0});
+    o.config.tenancy.max_preemptions_per_task = 1;
+    o.config.packing.enabled = packing;
+    o.obs.audit = true;
+    const auto report = runner::RunSimulation(t, cl, o);
+    report.CheckInvariants();
+    ASSERT_EQ(report.tenants.size(), 3u);
+    EXPECT_EQ(report.tenants[1].preemptions_suffered, 1u)
+        << "packing=" << packing;
+    EXPECT_EQ(report.counters.preemptions_issued, 1u) << "packing=" << packing;
+    if (packing) {
+      EXPECT_GE(report.counters.preemptions_blocked_cap, 1u);
+    }
+  }
 }
 
 TEST(Tenancy, QueuedProdWorkIsPromotedOverBestEffort) {
@@ -484,8 +569,12 @@ TEST_P(TenancyChaosTest, PreemptionConservationHoldsUnderChaos) {
   // job completes, and quota charges stay in range — or the run aborts.
   const auto cl = cluster::BuildCluster({.num_machines = 40, .seed = 21});
   const auto t = TenantedGoogleTrace(600, 40, 0.75, 21);
+  // "<scheduler>+packing" runs the same mix on the packed worker model.
+  const std::string param = GetParam();
+  const std::size_t plus = param.find('+');
   runner::RunOptions o;
-  o.scheduler = GetParam();
+  o.scheduler = param.substr(0, plus);
+  o.config.packing.enabled = plus != std::string::npos;
   o.config.seed = 21;
   o.config.tenancy = ThreeTenants(/*prod_slo=*/60.0);
   o.config.machine_mtbf = 1500;
@@ -502,11 +591,12 @@ TEST_P(TenancyChaosTest, PreemptionConservationHoldsUnderChaos) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, TenancyChaosTest,
-                         ::testing::Values("phoenix", "eagle-c"),
+                         ::testing::Values("phoenix", "eagle-c",
+                                           "phoenix+packing"),
                          [](const auto& info) {
                            std::string n = info.param;
                            for (auto& ch : n)
-                             if (ch == '-') ch = '_';
+                             if (ch == '-' || ch == '+') ch = '_';
                            return n;
                          });
 
