@@ -20,6 +20,10 @@ struct Workload {
   std::size_t jobs;
 };
 
+// Without this gtest prints the parameter as raw bytes, string pointer
+// included, so the ctest name of each case changed from build to build.
+void PrintTo(const Workload& w, std::ostream* os) { *os << w.profile; }
+
 class TraceSweepTest : public ::testing::TestWithParam<Workload> {
  protected:
   trace::Trace MakeTrace(double load = 0.85, std::uint64_t seed = 31) const {
