@@ -61,6 +61,27 @@ void BM_EngineCancelHeavy(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCancelHeavy);
 
+// Same-day fan-out: one callback schedules K events into the day being
+// served, as a probe wave or an RPC burst does. Each lands in the unserved
+// ready tail by insertion; the offsets are a permutation of K ticks, so
+// most inserts land mid-tail and shift the entries after them.
+void BM_EngineSameDayBurst(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Engine engine;
+    int fired = 0;
+    engine.ScheduleAt(1.0, [&engine, &fired, k] {
+      for (int i = 0; i < k; ++i) {
+        engine.ScheduleAfter(1e-6 * ((i * 7919) % k), [&fired] { ++fired; });
+      }
+    });
+    benchmark::DoNotOptimize(engine.Run());
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * (k + 1));
+}
+BENCHMARK(BM_EngineSameDayBurst)->Arg(64)->Arg(1024);
+
 void BM_ConstraintMatch(benchmark::State& state) {
   const auto& cl = SharedCluster(1);
   trace::ConstraintSynthesizer synth({.constrained_fraction = 1.0}, 2);

@@ -82,6 +82,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/builder.h"
@@ -194,6 +195,20 @@ inline BenchOptions ParseBenchOptions(util::Flags& flags,
       flags.GetDouble("gossip-period", o.federation.gossip_period);
   o.federation.staleness_bound =
       flags.GetDouble("stale-bound", o.federation.staleness_bound);
+  // The fabric asserts these ranges too; checking them here makes a bad
+  // value a usage error that names each flag instead of an abort.
+  bool bad_rate = false;
+  for (const auto& [name, value] :
+       {std::pair{"--net-drop", o.net.drop_rate},
+        std::pair{"--net-dup", o.net.duplicate_rate},
+        std::pair{"--net-reorder", o.net.reorder_rate},
+        std::pair{"--net-jitter", o.net.jitter}}) {
+    if (!(value >= 0 && value < 1)) {
+      std::fprintf(stderr, "%s must be in [0, 1) (got %g)\n", name, value);
+      bad_rate = true;
+    }
+  }
+  if (bad_rate) std::exit(1);
   if (o.net.one_way <= 0 || o.rpc.timeout <= 0 || o.rpc.backoff < 1.0) {
     std::fprintf(stderr,
                  "--net-latency and --rpc-timeout must be positive; "

@@ -11,6 +11,8 @@
 // only after the join, in grid order — printed output and TSV rows are
 // byte-identical to a serial run (and rows can never interleave mid-line,
 // which the old write-as-you-go loop would have allowed under concurrency).
+// Observability outputs (--trace-out, --trace-jsonl, --timeseries) get one
+// file per cell, tagged <profile>-<scheduler>-x<multiplier>.
 #pragma once
 
 #include <cstdio>
@@ -63,7 +65,13 @@ inline void RunNormalizedSweep(const std::string& profile,
   std::vector<std::optional<runner::RepeatedRuns>> cells(2 * mults.size());
   runner::ParallelExperimentLoop(cells.size(), [&](std::size_t i) {
     const auto& scheduler = (i % 2 == 0) ? treatment : baseline;
-    cells[i].emplace(Run(scheduler, trace, clusters[i / 2], opts));
+    // Cells run concurrently, so each writes its own observability files:
+    // "trace.json" -> "trace.google-phoenix-x1.15.json".
+    auto cell_opts = opts;
+    cell_opts.obs = runner::SuffixedObs(
+        opts.obs, profile + "-" + scheduler + "-x" +
+                      util::StrFormat("%g", mults[i / 2]));
+    cells[i].emplace(Run(scheduler, trace, clusters[i / 2], cell_opts));
   });
 
   // Join done: emit the table and TSV serially, in grid order.

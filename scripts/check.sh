@@ -30,13 +30,43 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
   --timeseries="$SMOKE_DIR/hb.tsv" >/dev/null
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 - "$SMOKE_DIR/trace.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    records = json.load(f)
-assert isinstance(records, list) and records, "empty chrome trace"
-assert any(r.get("ph") == "X" for r in records), "no task slices"
-print(f"chrome trace ok: {len(records)} records")
+  python3 - "$SMOKE_DIR" <<'EOF'
+import glob, json, os, sys
+smoke = sys.argv[1]
+# Figure 7 sweeps 3 traces x 2 schedulers x 5 fleets concurrently; each cell
+# writes its own files (trace.<profile>-<scheduler>-x<multiplier>.json).
+assert not os.path.exists(os.path.join(smoke, "trace.json")), \
+    "a cell wrote the untagged trace path"
+traces = sorted(glob.glob(os.path.join(smoke, "trace.*.json")))
+assert len(traces) == 30, f"expected 30 per-cell chrome traces, got {len(traces)}"
+records = 0
+for path in traces:
+    with open(path) as f:
+        doc = json.load(f)
+    assert isinstance(doc, list) and doc, f"empty chrome trace {path}"
+    assert any(r.get("ph") == "X" for r in doc), f"no task slices in {path}"
+    records += len(doc)
+
+
+def check_rows(path, header):
+    with open(path) as f:
+        lines = f.read().splitlines()
+    assert lines and lines[0] == header, f"bad header in {path}"
+    assert len(lines) > 1, f"no rows in {path}"
+
+
+series = sorted(glob.glob(os.path.join(smoke, "hb.*.tsv")))
+assert len(series) == 30, f"expected 30 per-cell timeseries, got {len(series)}"
+for path in series:
+    check_rows(path, "time\tmachine\tqueue_len\test_queued_work\t"
+                     "wait_estimate\tcrv_marked\tbusy\tfailed")
+crv = sorted(glob.glob(os.path.join(smoke, "hb.*.tsv.crv")))
+assert len(crv) == 15, f"expected 15 Phoenix CRV histories, got {len(crv)}"
+assert all("-phoenix-" in p for p in crv), "CRV history from a non-Phoenix cell"
+for path in crv:
+    check_rows(path, "time\tdim\tratio")
+print(f"chrome traces ok: {len(traces)} files, {records} records; "
+      f"{len(series)} timeseries and {len(crv)} CRV files ok")
 EOF
 else
   echo "python3 not found; skipped chrome trace JSON validation"

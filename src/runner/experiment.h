@@ -59,9 +59,17 @@ struct RunOptions {
   power::PowerConfig power;
 };
 
+/// "out.json" + "seed43" -> "out.seed43.json": the tag goes before the
+/// extension. Concurrent runs configured with one output path each write
+/// their own file this way and never share a stream.
+std::string SuffixedPath(const std::string& path, const std::string& tag);
+
 /// "out.json" + seed 43 -> "out.seed43.json" (multi-seed runs write one
-/// observability file per seed so concurrent runs never share a stream).
+/// observability file per seed).
 std::string SeedSuffixedPath(const std::string& path, std::uint64_t seed);
+
+/// `obs` with SuffixedPath(..., tag) applied to every output path it names.
+ObsOptions SuffixedObs(ObsOptions obs, const std::string& tag);
 
 /// One full simulation. The trace's short cutoff overrides
 /// options.config.short_cutoff. Aborts if any job fails to complete.

@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace phoenix::sim {
@@ -23,6 +24,7 @@ Engine::EventId Engine::ScheduleAt(SimTime at, Callback cb) {
   PHOENIX_CHECK_MSG(cb != nullptr, "null event callback");
   const EventId id = next_seq_++;
   pending_.Insert(id);
+  const Key key{at, id, Store(std::move(cb))};
   const std::uint64_t day = DayOf(at);
   if (harvested_ && day <= current_day_) {
     // The event lands in the day being served (ScheduleAt(Now()) from
@@ -32,16 +34,33 @@ Engine::EventId Engine::ScheduleAt(SimTime at, Callback cb) {
     // global (time, seq) order.
     const auto it = std::upper_bound(
         ready_.begin() + static_cast<std::ptrdiff_t>(ready_head_),
-        ready_.end(), at,
-        [](SimTime t, const Entry& e) { return t < e.time; });
-    ready_.insert(it, Entry{at, id, std::move(cb)});
+        ready_.end(), at, [](SimTime t, const Key& k) { return t < k.time; });
+    ready_.insert(it, key);
   } else {
-    buckets_[day & (buckets_.size() - 1)].push_back(
-        Entry{at, id, std::move(cb)});
+    buckets_[day & (buckets_.size() - 1)].push_back(key);
     ++bucket_entries_;
     MaybeGrow();
   }
   return id;
+}
+
+std::uint32_t Engine::Store(Callback&& cb) {
+  if (free_slots_.empty()) {
+    PHOENIX_CHECK_MSG(
+        callbacks_.size() < std::numeric_limits<std::uint32_t>::max(),
+        "callback pool exhausted");
+    callbacks_.push_back(std::move(cb));
+    return static_cast<std::uint32_t>(callbacks_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  callbacks_[slot] = std::move(cb);
+  return slot;
+}
+
+void Engine::Release(std::uint32_t slot) {
+  callbacks_[slot] = nullptr;
+  free_slots_.push_back(slot);
 }
 
 bool Engine::Cancel(EventId id) {
@@ -56,18 +75,17 @@ void Engine::MaybeGrow() {
       pending_.size() <= buckets_.size() * 2) {
     return;
   }
-  // Collect every physical entry (bucket shares plus the unserved ready_
+  // Collect every physical key (bucket shares plus the unserved ready_
   // tail), retune the day width to the observed span, and redistribute.
   // The next Step re-harvests from day(now_), so serving order is intact.
-  std::vector<Entry> all;
+  std::vector<Key> all;
   all.reserve(pending_entries());
   for (auto& bucket : buckets_) {
-    for (auto& e : bucket) all.push_back(std::move(e));
-    bucket.clear();
+    all.insert(all.end(), bucket.begin(), bucket.end());
   }
-  for (std::size_t i = ready_head_; i < ready_.size(); ++i) {
-    all.push_back(std::move(ready_[i]));
-  }
+  all.insert(all.end(),
+             ready_.begin() + static_cast<std::ptrdiff_t>(ready_head_),
+             ready_.end());
   ready_.clear();
   ready_head_ = 0;
   harvested_ = false;
@@ -79,9 +97,9 @@ void Engine::MaybeGrow() {
   if (!all.empty()) {
     SimTime lo = all.front().time;
     SimTime hi = lo;
-    for (const Entry& e : all) {
-      lo = std::min(lo, e.time);
-      hi = std::max(hi, e.time);
+    for (const Key& k : all) {
+      lo = std::min(lo, k.time);
+      hi = std::max(hi, k.time);
     }
     // Aim for ~2 events per day over the observed span, so a day's sort
     // stays tiny and a lap of the calendar covers a useful time range.
@@ -93,8 +111,8 @@ void Engine::MaybeGrow() {
   buckets_.clear();
   buckets_.resize(nbuckets);
   bucket_entries_ = all.size();
-  for (auto& e : all) {
-    buckets_[DayOf(e.time) & (nbuckets - 1)].push_back(std::move(e));
+  for (const Key& k : all) {
+    buckets_[DayOf(k.time) & (nbuckets - 1)].push_back(k);
   }
   current_day_ = DayOf(now_);
 }
@@ -109,38 +127,36 @@ void Engine::MaybePurge() {
   //
   // Precondition (what makes clearing cancelled_ below safe even when this
   // runs from a callback mid-way through a harvested day): every id in
-  // cancelled_ has exactly one physical entry, and it sits in a bucket or
-  // in the *unserved* ready_ tail. Cancel only tombstones pending ids (so
-  // the entry exists and has not been served), and Step reclaims any
-  // tombstone it passes over, so none can hide in the served husk region
-  // [0, ready_head_). The sweep therefore drops each tombstone exactly
-  // once, and afterwards the set can be cleared with nothing left for the
-  // rest of the harvested run to consult. Both are checked below.
+  // cancelled_ has exactly one physical key, and it sits in a bucket or in
+  // the *unserved* ready_ tail. Cancel only tombstones pending ids (so the
+  // key exists and has not been served), and Step reclaims any tombstone
+  // it passes over, so none can hide in the served husk region
+  // [0, ready_head_). The sweep therefore drops each tombstone (and
+  // destroys its callback) exactly once, and afterwards the set can be
+  // cleared with nothing left for the rest of the harvested run to
+  // consult. Both are checked below.
   std::size_t dropped = 0;
-  for (auto& bucket : buckets_) {
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < bucket.size(); ++r) {
-      if (cancelled_.Contains(bucket[r].seq)) {
+  // Keeps the keys of [first, last) that are not tombstones at `out`.
+  const auto sweep = [this, &dropped](auto first, auto last, auto out) {
+    for (; first != last; ++first) {
+      if (cancelled_.Contains(first->seq)) {
+        Release(first->slot);
         ++dropped;
-        continue;
+      } else {
+        *out++ = *first;
       }
-      if (w != r) bucket[w] = std::move(bucket[r]);
-      ++w;
     }
-    bucket_entries_ -= bucket.size() - w;
-    bucket.resize(w);
+    return out;
+  };
+  for (auto& bucket : buckets_) {
+    const auto end = sweep(bucket.begin(), bucket.end(), bucket.begin());
+    bucket_entries_ -= static_cast<std::size_t>(bucket.end() - end);
+    bucket.erase(end, bucket.end());
   }
   // Compact the unserved ready_ tail in place (dropping served husks too).
-  std::size_t w = 0;
-  for (std::size_t r = ready_head_; r < ready_.size(); ++r) {
-    if (cancelled_.Contains(ready_[r].seq)) {
-      ++dropped;
-      continue;
-    }
-    if (w != r) ready_[w] = std::move(ready_[r]);
-    ++w;
-  }
-  ready_.resize(w);
+  ready_.erase(sweep(ready_.begin() + static_cast<std::ptrdiff_t>(ready_head_),
+                     ready_.end(), ready_.begin()),
+               ready_.end());
   ready_head_ = 0;
   PHOENIX_CHECK_MSG(dropped == cancelled_.size(),
                     "purge dropped a different number of entries than there "
@@ -154,17 +170,16 @@ void Engine::MaybePurge() {
 void Engine::Harvest() {
   auto& bucket = buckets_[current_day_ & (buckets_.size() - 1)];
   std::size_t w = 0;
-  for (std::size_t r = 0; r < bucket.size(); ++r) {
-    if (DayOf(bucket[r].time) <= current_day_) {
-      ready_.push_back(std::move(bucket[r]));
+  for (const Key& k : bucket) {
+    if (DayOf(k.time) <= current_day_) {
+      ready_.push_back(k);
     } else {
-      if (w != r) bucket[w] = std::move(bucket[r]);
-      ++w;
+      bucket[w++] = k;
     }
   }
   bucket_entries_ -= bucket.size() - w;
   bucket.resize(w);
-  std::sort(ready_.begin(), ready_.end(), [](const Entry& a, const Entry& b) {
+  std::sort(ready_.begin(), ready_.end(), [](const Key& a, const Key& b) {
     return a.time != b.time ? a.time < b.time : a.seq < b.seq;
   });
   harvested_ = true;
@@ -176,8 +191,8 @@ void Engine::AdvanceToNextDay() {
   for (;;) {
     const auto& bucket = buckets_[current_day_ & (nbuckets - 1)];
     bool has_current = false;
-    for (const Entry& e : bucket) {
-      if (DayOf(e.time) <= current_day_) {
+    for (const Key& k : bucket) {
+      if (DayOf(k.time) <= current_day_) {
         has_current = true;
         break;
       }
@@ -189,7 +204,7 @@ void Engine::AdvanceToNextDay() {
       // straight to the earliest remaining day instead of walking to it.
       std::uint64_t min_day = ~std::uint64_t{0};
       for (const auto& b : buckets_) {
-        for (const Entry& e : b) min_day = std::min(min_day, DayOf(e.time));
+        for (const Key& k : b) min_day = std::min(min_day, DayOf(k.time));
       }
       current_day_ = min_day;
       break;
@@ -215,20 +230,23 @@ std::uint64_t Engine::Run(SimTime until) {
 bool Engine::Step(SimTime until) {
   for (;;) {
     while (ready_head_ < ready_.size()) {
-      if (cancelled_.Erase(ready_[ready_head_].seq)) {
+      const Key key = ready_[ready_head_];
+      if (cancelled_.Erase(key.seq)) {
         ++ready_head_;  // tombstone: reclaim and skip
+        Release(key.slot);
         continue;
       }
-      if (ready_[ready_head_].time > until) return false;
-      // Move the entry out before running it: the callback may schedule
-      // same-day events, which mutates ready_.
-      Entry entry = std::move(ready_[ready_head_]);
+      if (key.time > until) return false;
       ++ready_head_;
-      pending_.Erase(entry.seq);
-      PHOENIX_CHECK_MSG(entry.time >= now_, "event time went backwards");
-      now_ = entry.time;
+      pending_.Erase(key.seq);
+      PHOENIX_CHECK_MSG(key.time >= now_, "event time went backwards");
+      now_ = key.time;
       ++events_fired_;
-      entry.cb();
+      // Take the callback out of the pool before running it: it may
+      // schedule events, which can reallocate the pool under it.
+      Callback cb = std::move(callbacks_[key.slot]);
+      free_slots_.push_back(key.slot);
+      cb();
       return true;
     }
     ready_.clear();
@@ -238,7 +256,10 @@ bool Engine::Step(SimTime until) {
       // Nothing live: drop any straggler tombstones so the calendar is
       // physically empty too.
       if (bucket_entries_ > 0) {
-        for (auto& bucket : buckets_) bucket.clear();
+        for (auto& bucket : buckets_) {
+          for (const Key& k : bucket) Release(k.slot);
+          bucket.clear();
+        }
         bucket_entries_ = 0;
         cancelled_.clear();
       }

@@ -5,25 +5,35 @@
 // events scheduled at the same instant (FIFO in scheduling order), which in
 // turn makes every experiment reproducible from its seed.
 //
-// Layout: events live in power-of-two `buckets_` indexed by
+// Layout: the calendar holds 24-byte keys {time, seq, slot}, never the
+// callbacks themselves. Keys live in power-of-two `buckets_` indexed by
 // day & (buckets - 1), where a "day" is floor(time / width_). The loop
-// drains one day at a time: the current day's events are harvested out of
+// drains one day at a time: the current day's keys are harvested out of
 // their bucket into `ready_`, sorted once by (time, seq), and served in
 // order. Events scheduled *into* the already-harvested day (the
 // ScheduleAt(Now()) reentrancy case) are insertion-sorted into the unserved
 // ready_ tail, so same-instant FIFO holds across bucket boundaries.
 // Bucket count and day width adapt to the live population (doubling
-// rebuilds), which changes only where events physically sit — the served
+// rebuilds), which changes only where keys physically sit — the served
 // order is always the global (time, seq) order, bit-identical to a binary
 // heap with the same tie-break.
 //
+// Callbacks sit in an engine-owned slot pool (`callbacks_` plus a free
+// list) that a key names by index. A callback is moved into the pool once
+// when scheduled and out of it once just before it fires; the sort, the
+// same-day insertion (a memmove), the rebuilds and the purges move keys
+// only. Most events land in the day being served, so shifting the ready_
+// tail is the hot path, and a 24-byte key shifts as a plain memmove where a
+// 64-byte callback needs an indirect call per move.
+//
 // Cancellation is O(1): the id is dropped from the `pending_` set and
-// parked in the `cancelled_` tombstone set; the stale calendar entry is
-// skipped when its day is served, and tombstones are purged wholesale once
-// they outnumber half of the live events.
+// parked in the `cancelled_` tombstone set; the stale key is skipped (and
+// its callback destroyed) when its day is served, and tombstones are
+// purged wholesale once they outnumber half of the live events.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sim/simtime.h"
@@ -85,8 +95,8 @@ class Engine {
   bool Empty() const { return pending_.empty(); }
   std::uint64_t events_fired() const { return events_fired_; }
   std::uint64_t events_scheduled() const { return next_seq_; }
-  /// Calendar entries currently held, including not-yet-reclaimed
-  /// tombstones (bounded by 1.5x the live count once purging kicks in).
+  /// Calendar keys currently held, including not-yet-reclaimed tombstones
+  /// (bounded by 1.5x the live count once purging kicks in).
   std::size_t pending_entries() const {
     return bucket_entries_ + (ready_.size() - ready_head_);
   }
@@ -94,11 +104,14 @@ class Engine {
   std::uint64_t compactions() const { return compactions_; }
 
  private:
-  struct Entry {
+  // What the calendar sorts and shifts: trivially copyable, so moving one
+  // is a plain copy and never dispatches through a callback.
+  struct Key {
     SimTime time;
-    std::uint64_t seq;  // doubles as EventId
-    Callback cb;
+    std::uint64_t seq;   // doubles as EventId
+    std::uint32_t slot;  // index of the event's callback in callbacks_
   };
+  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
 
   // floor(at / width_), clamped so far-future sentinels cannot overflow the
   // day counter. Correctness only needs monotonicity in `at`: a clamped
@@ -118,18 +131,29 @@ class Engine {
   // population outgrows the calendar. Placement-only: serving order is
   // unaffected.
   void MaybeGrow();
-  // Sweeps tombstoned entries out of the calendar when they dominate.
+  // Sweeps tombstoned keys out of the calendar when they dominate.
   void MaybePurge();
 
-  std::vector<std::vector<Entry>> buckets_;
-  std::size_t bucket_entries_ = 0;  // physical entries across buckets_
+  // Moves `cb` into a free pool slot and returns its index.
+  std::uint32_t Store(Callback&& cb);
+  // Destroys a tombstone's callback and frees its slot.
+  void Release(std::uint32_t slot);
+
+  std::vector<std::vector<Key>> buckets_;
+  std::size_t bucket_entries_ = 0;  // physical keys across buckets_
   double width_ = 1.0;              // day width, seconds
   std::uint64_t current_day_ = 0;
   // True once current_day_'s bucket share has been moved into ready_;
   // from then on, same-day arrivals insertion-sort into the ready_ tail.
   bool harvested_ = false;
-  std::vector<Entry> ready_;  // current day, (time, seq)-sorted
+  std::vector<Key> ready_;  // current day, (time, seq)-sorted
   std::size_t ready_head_ = 0;
+
+  // Callback pool: one slot per calendar key; empty slots are on the free
+  // list. The pool may reallocate whenever an event is scheduled, so a
+  // callback is moved out before it runs.
+  std::vector<Callback> callbacks_;
+  std::vector<std::uint32_t> free_slots_;
 
   util::FlatHashSet pending_;    // scheduled, unfired, uncancelled
   util::FlatHashSet cancelled_;  // cancelled ids still in the calendar

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/sweep.h"
 #include "cluster/builder.h"
 #include "obs/audit.h"
 #include "obs/event.h"
@@ -305,6 +306,47 @@ TEST(Obs, ChromeTraceIsValidJson) {
   EXPECT_NE(text.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\":\"i\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// The fleet sweeps run their (scheduler, fleet) cells concurrently, so each
+// cell must write its own files: cells sharing one path interleave their
+// streams into an invalid file.
+TEST(Obs, ConcurrentSweepCellsWriteOwnTraceFiles) {
+  bench::BenchOptions o;
+  o.nodes = 16;
+  o.jobs = 240;
+  o.seed = 5;
+  o.obs.trace_chrome = TempPath("sweep.json");
+  o.obs.trace_jsonl = TempPath("sweep.jsonl");
+  runner::SetExperimentThreads(2);
+  bench::RunNormalizedSweep("google", "phoenix", "eagle-c",
+                            metrics::ClassFilter::kShort, o);
+  runner::SetExperimentThreads(0);
+  std::size_t files = 0;
+  for (const std::string scheduler : {"phoenix", "eagle-c"}) {
+    for (const double mult : bench::SweepMultipliers()) {
+      const std::string tag =
+          "google-" + scheduler + "-x" + util::StrFormat("%g", mult);
+      const std::string chrome = runner::SuffixedPath(o.obs.trace_chrome, tag);
+      const std::string text = Slurp(chrome);
+      EXPECT_TRUE(MiniJson(text).Valid()) << chrome << " is not valid JSON";
+      EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos) << chrome;
+      const std::string jsonl = runner::SuffixedPath(o.obs.trace_jsonl, tag);
+      std::istringstream lines(Slurp(jsonl));
+      std::size_t records = 0;
+      for (std::string line; std::getline(lines, line); ++records) {
+        ASSERT_TRUE(MiniJson(line).Valid()) << jsonl << ": " << line;
+      }
+      EXPECT_GT(records, 0u) << jsonl;
+      std::remove(chrome.c_str());
+      std::remove(jsonl.c_str());
+      ++files;
+    }
+  }
+  EXPECT_EQ(files, 2 * bench::SweepMultipliers().size());
+  // Nothing lands on the untagged paths.
+  EXPECT_FALSE(std::ifstream(o.obs.trace_chrome).good());
+  EXPECT_FALSE(std::ifstream(o.obs.trace_jsonl).good());
 }
 
 TEST(Obs, HeartbeatTimeseriesSchema) {

@@ -1,5 +1,8 @@
 // Unit tests for the discrete-event engine.
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -412,6 +415,152 @@ TEST(Engine, PurgeMidHarvestKeepsTailAndFutureDaysConsistent) {
   // fired[] is sorted under the +0.0001 marker it logged for itself.
   EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
   EXPECT_TRUE(e.Empty());
+}
+
+// ---- callback ownership: the engine's slot pool -------------------------
+
+// A callback that counts its own lifetime. A move hands the "armed" mark to
+// the new instance, so each logical callback has exactly one armed instance
+// and `destroyed[id]` counts how often that one was destroyed. The mark is
+// not cleared on destruction: destroying the same instance twice counts 2.
+struct Counted {
+  static inline int live = 0;  // instances in existence, armed or not
+  static inline std::map<int, int> fired;
+  static inline std::map<int, int> destroyed;
+  int id;
+  bool armed = true;
+  explicit Counted(int i) : id(i) { ++live; }
+  Counted(Counted&& other) noexcept : id(other.id), armed(other.armed) {
+    other.armed = false;
+    ++live;
+  }
+  Counted(const Counted&) = delete;
+  ~Counted() {
+    --live;
+    if (armed) ++destroyed[id];
+  }
+  void operator()() const { ++fired[id]; }
+  static void Reset() {
+    live = 0;
+    fired.clear();
+    destroyed.clear();
+  }
+};
+
+// Every callback is destroyed exactly once: after it fires, when its
+// tombstone is skipped, when a purge drops it mid-harvest, or with the
+// engine while still pending.
+TEST(Engine, EveryCallbackIsDestroyedExactlyOnce) {
+  Counted::Reset();
+  constexpr int kSkipped = 1000;
+  constexpr int kPending = 1001;
+  constexpr int kTail = 200;    // ids 0..199: the purged day's tail
+  constexpr int kRefill = 300;  // ids 3000..3299: scheduled after the purge
+  {
+    Engine e;
+    std::vector<Engine::EventId> tail;
+    // A trigger at t=5 cancels 150 of its 200 same-instant followers. The
+    // cancel that crosses the purge threshold sweeps every tombstone so far
+    // out while the day is being served; the later ones are skipped.
+    e.ScheduleAt(5.0, [&] {
+      int purged_through = -1;
+      for (int i = 0; i < kTail; ++i) {
+        if (i % 4 == 0) continue;
+        e.Cancel(tail[static_cast<std::size_t>(i)]);
+        if (purged_through < 0 && e.compactions() > 0) {
+          purged_through = i;
+          for (int j = 0; j <= i; ++j) {
+            if (j % 4 != 0) {
+              EXPECT_EQ(Counted::destroyed[j], 1) << j;
+            }
+          }
+        }
+      }
+      EXPECT_GT(purged_through, 0);
+      EXPECT_LT(purged_through, kTail - 1);
+      // Fresh events reuse the purged slots (a slot freed twice would be
+      // handed out twice, and one of its two callbacks lost).
+      for (int i = 0; i < kRefill; ++i) e.ScheduleAt(5.5, Counted(3000 + i));
+    });
+    for (int i = 0; i < kTail; ++i) {
+      tail.push_back(e.ScheduleAt(5.0, Counted(i)));
+    }
+    // A lone tombstone (too few to purge), cancelled after the purge, is
+    // skipped when its day is served. The live event after it fans out
+    // three followers, which take the most recently freed slots: its own
+    // and the tombstone's (a slot freed twice would be handed out twice).
+    const Engine::EventId skipped = e.ScheduleAt(7.0, Counted(kSkipped));
+    e.ScheduleAt(6.0, [&e, skipped] { EXPECT_TRUE(e.Cancel(skipped)); });
+    e.ScheduleAt(7.0, [&e] {
+      for (const int id : {2000, 2001, 2002}) e.ScheduleAt(8.0, Counted(id));
+    });
+    e.ScheduleAt(100.0, Counted(kPending));
+    e.Run(50.0);
+    EXPECT_EQ(Counted::destroyed[kSkipped], 1);
+    EXPECT_EQ(Counted::fired.count(kSkipped), 0u);
+    EXPECT_EQ(Counted::destroyed[kPending], 0);
+    EXPECT_EQ(e.PendingIds().size(), 1u);
+  }
+  EXPECT_EQ(Counted::live, 0);
+  for (int i = 0; i < kTail; ++i) {
+    EXPECT_EQ(Counted::fired[i], i % 4 == 0 ? 1 : 0) << i;
+  }
+  for (int i = 0; i < kRefill; ++i) EXPECT_EQ(Counted::fired[3000 + i], 1) << i;
+  for (const int id : {2000, 2001, 2002}) {
+    EXPECT_EQ(Counted::fired[id], 1) << id;
+  }
+  EXPECT_EQ(Counted::fired.count(kPending), 0u);
+  EXPECT_EQ(Counted::destroyed.size(), kTail + kRefill + 5u);
+  for (const auto& [id, times] : Counted::destroyed) {
+    EXPECT_EQ(times, 1) << "callback " << id;
+  }
+}
+
+// A running callback may schedule enough events to reallocate the pool it
+// was taken from; its own captures must stay intact while it runs. The
+// destructor scribbles over `magic`, so a callback destroyed (or moved
+// away) mid-run reads back the scribble.
+struct FanOut {
+  static constexpr std::uint64_t kMagic = 0x5eed5eed5eed5eedULL;
+  Engine* e;
+  int* fired;
+  std::uint64_t magic = kMagic;
+  FanOut(Engine* engine, int* count) : e(engine), fired(count) {}
+  FanOut(FanOut&& other) noexcept
+      : e(other.e), fired(other.fired), magic(other.magic) {}
+  ~FanOut() { magic = 0; }
+  void operator()() {
+    for (int i = 0; i < 4096; ++i) {
+      e->ScheduleAt(e->Now() + (i % 3), [f = fired] { ++*f; });
+    }
+    EXPECT_EQ(magic, kMagic) << "callback destroyed while it ran";
+    ++*fired;
+  }
+};
+
+TEST(Engine, CallbackSurvivesPoolGrowthWhileRunning) {
+  Engine e;
+  int fired = 0;
+  e.ScheduleAt(1.0, FanOut(&e, &fired));
+  EXPECT_EQ(e.Run(), 4097u);
+  EXPECT_EQ(fired, 4097);
+}
+
+// Captures beyond InlineFunction's inline buffer take the heap path; they
+// must fire in (time, seq) order alongside inline ones and be freed when
+// cancelled.
+TEST(Engine, OversizedCapturesFireInOrder) {
+  std::array<std::uint64_t, 16> big{};
+  static_assert(sizeof(big) > Engine::Callback::kInlineBytes);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = i * i;
+  Engine e;
+  std::vector<std::uint64_t> seen;
+  e.ScheduleAt(2.0, [&seen, big] { seen.push_back(big[15]); });
+  e.ScheduleAt(1.0, [&seen] { seen.push_back(1); });
+  e.Cancel(e.ScheduleAt(1.5, [&seen, big] { seen.push_back(big[3]); }));
+  e.ScheduleAt(2.0, [&seen, big] { seen.push_back(big[7]); });
+  e.Run();
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 225, 49}));
 }
 
 // Differential stress: random schedule/cancel traffic — including cancels
