@@ -150,6 +150,7 @@ class WhiteBox : public Scheduler {
   using Scheduler::AllJobsDone;
   using Scheduler::RemoveQueueAt;
   using Scheduler::counters_view;
+  using Scheduler::fabric;
   using Scheduler::runtime;
   using Scheduler::worker;
 };
@@ -224,6 +225,31 @@ TEST(Failures, StickyFetchSurvivesFailureWithoutLeftoverProbes) {
   sched.InjectRepair(0);
   engine.Run(/*until=*/20000.0);
   EXPECT_TRUE(sched.AllJobsDone());
+}
+
+TEST(Failures, StickyFetchTimingOutRedispatchesTheJob) {
+  // The sticky fetch's RPC exhausts its retries instead of dying with the
+  // machine: a partition cuts worker 0 off from the controller while the
+  // fetch is in flight, so every attempt times out. The abort must free the
+  // control slot and re-cover the fetched job exactly once; the re-covering
+  // probe keeps bouncing until the partition heals, then the job finishes.
+  const auto cl = cluster::BuildCluster({.num_machines = 1, .seed = 41});
+  sim::Engine engine;
+  sched::SchedulerConfig cfg;
+  cfg.probe_ratio = 1;
+  cfg.net.drop_rate = 1e-12;  // non-ideal so the reliable RPC path runs
+  WhiteBox<sched::EagleScheduler> sched(engine, cl, cfg);
+  const auto t = TwoTaskShortJob("sticky-timeout");
+  sched.SubmitTrace(t);
+
+  ASSERT_TRUE(StepUntilStickyFetch(engine, sched));
+  sched.fabric().Partition({0}, /*duration=*/2.0);
+  engine.Run();
+  EXPECT_TRUE(sched.AllJobsDone());
+  const metrics::SimReport report = sched.BuildReport();
+  EXPECT_EQ(report.counters.sticky_fetch_redispatches, 1u);
+  EXPECT_GE(report.counters.rpc_failures, 1u);
+  report.CheckInvariants();
 }
 
 TEST(Failures, ProbeBouncesRepeatedlyWhileDestinationStaysDown) {

@@ -63,6 +63,22 @@ void Tenants(Setup& s) {
 
 void Packing(Setup& s) { s.run.config.packing.enabled = true; }
 
+// Machine failures (MTBF 20,000 s, MTTR 300 s), 5% chaos and the auditor.
+void FailuresChaosAudit(Setup& s) {
+  s.run.config.machine_mtbf = 20000;
+  s.run.config.machine_mttr = 300;
+  Chaos(s);
+  s.run.obs.audit = true;
+}
+
+void GangMalleable(Setup& s) {
+  Packing(s);
+  s.run.config.packing.gang_fraction = 0.1;
+  s.run.config.packing.malleable_fraction = 0.1;
+  s.gen.gang_fraction = 0.1;
+  s.gen.malleable_fraction = 0.1;
+}
+
 void DagDeadline(Setup& s) {
   s.run.config.workflow.dag = true;
   s.run.config.workflow.deadline = true;
@@ -77,13 +93,7 @@ struct FeatureSet {
 // Packing with parking is left out: it can livelock (ROADMAP item 1).
 const FeatureSet kFeatureSets[] = {
     {"default", [](Setup&) {}},
-    {"failures-chaos-audit",
-     [](Setup& s) {
-       s.run.config.machine_mtbf = 20000;
-       s.run.config.machine_mttr = 300;
-       Chaos(s);
-       s.run.obs.audit = true;
-     }},
+    {"failures-chaos-audit", FailuresChaosAudit},
     {"tenants-preemption", Tenants},
     {"power-all", [](Setup& s) { s.run.power.enabled = true; }},
     {"dag-deadline", DagDeadline},
@@ -109,19 +119,9 @@ const FeatureSet kFeatureSets[] = {
     {"packing-failures-chaos-audit",
      [](Setup& s) {
        Packing(s);
-       s.run.config.machine_mtbf = 20000;
-       s.run.config.machine_mttr = 300;
-       Chaos(s);
-       s.run.obs.audit = true;
+       FailuresChaosAudit(s);
      }},
-    {"packing-gang-malleable",
-     [](Setup& s) {
-       Packing(s);
-       s.run.config.packing.gang_fraction = 0.1;
-       s.run.config.packing.malleable_fraction = 0.1;
-       s.gen.gang_fraction = 0.1;
-       s.gen.malleable_fraction = 0.1;
-     }},
+    {"packing-gang-malleable", GangMalleable},
     {"packing-tenants",
      [](Setup& s) {
        Packing(s);
@@ -133,6 +133,23 @@ const FeatureSet kFeatureSets[] = {
        s.run.power.enabled = true;
        s.run.power.policy.park = false;
        DagDeadline(s);
+     }},
+    // Failures combined with the DAG, gang/malleable and tenancy paths: the
+    // replay, run-stop and queue-admission code each of them reaches.
+    {"dag-deadline-failures-chaos-audit",
+     [](Setup& s) {
+       DagDeadline(s);
+       FailuresChaosAudit(s);
+     }},
+    {"packing-gang-malleable-failures-chaos-audit",
+     [](Setup& s) {
+       GangMalleable(s);
+       FailuresChaosAudit(s);
+     }},
+    {"tenants-failures-chaos-audit",
+     [](Setup& s) {
+       Tenants(s);
+       FailuresChaosAudit(s);
      }},
 };
 
