@@ -6,15 +6,13 @@
 
 namespace phoenix::core {
 
+static_assert(sched::SchedulerConfig::soft_relax_penalty >= 1.0,
+              "a relaxed constraint must not speed a task up");
+
 AdmissionController::AdmissionController(const cluster::Cluster& cluster,
-                                         double crv_threshold,
-                                         double soft_relax_penalty,
-                                         std::size_t max_relaxations)
-    : cluster_(cluster), crv_threshold_(crv_threshold),
-      soft_relax_penalty_(soft_relax_penalty),
-      max_relaxations_(max_relaxations) {
+                                         double crv_threshold)
+    : cluster_(cluster), crv_threshold_(crv_threshold) {
   PHOENIX_CHECK(crv_threshold > 0);
-  PHOENIX_CHECK(soft_relax_penalty >= 1.0);
 }
 
 std::size_t AdmissionController::Pool(const cluster::ConstraintSet& cs) const {
@@ -34,7 +32,8 @@ std::size_t AdmissionController::Negotiate(sched::JobRuntime& job,
 
   std::size_t relaxed = 0;
   bool changed = true;
-  while (changed && relaxed < max_relaxations_) {
+  while (changed &&
+         relaxed < sched::SchedulerConfig::phoenix_max_relaxations) {
     changed = false;
     const std::size_t pool = Pool(job.effective);
     // Negotiation only pays when the job is actually cornered: a roomy pool
@@ -52,7 +51,7 @@ std::size_t AdmissionController::Negotiate(sched::JobRuntime& job,
         continue;
       }
       job.effective = without;
-      job.duration_multiplier *= soft_relax_penalty_;
+      job.duration_multiplier *= sched::SchedulerConfig::soft_relax_penalty;
       ++job.relaxed_constraints;
       ++relaxed;
       changed = true;

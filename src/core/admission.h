@@ -16,8 +16,9 @@ namespace phoenix::core {
 
 class AdmissionController {
  public:
-  AdmissionController(const cluster::Cluster& cluster, double crv_threshold,
-                      double soft_relax_penalty, std::size_t max_relaxations);
+  /// Relaxes at most SchedulerConfig::phoenix_max_relaxations constraints
+  /// per job, each at SchedulerConfig::soft_relax_penalty.
+  AdmissionController(const cluster::Cluster& cluster, double crv_threshold);
 
   /// Negotiates against the eligible (active) pools of `view` instead of the
   /// full universe. Relaxation only ever widens a pool, so this is safe
@@ -37,8 +38,6 @@ class AdmissionController {
   const cluster::Cluster& cluster_;
   const cluster::MembershipView* view_ = nullptr;
   double crv_threshold_;
-  double soft_relax_penalty_;
-  std::size_t max_relaxations_;
 };
 
 }  // namespace phoenix::core

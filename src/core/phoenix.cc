@@ -16,8 +16,7 @@ PhoenixScheduler::PhoenixScheduler(sim::Engine& engine,
                                    const sched::SchedulerConfig& config)
     : EagleScheduler(engine, cluster, config),
       monitor_(cluster),
-      admission_(cluster, config.crv_threshold, config.soft_relax_penalty,
-                 config.phoenix_max_relaxations) {}
+      admission_(cluster, config.crv_threshold) {}
 
 void PhoenixScheduler::SetMembership(cluster::MembershipView* membership) {
   EagleScheduler::SetMembership(membership);

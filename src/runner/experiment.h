@@ -71,8 +71,8 @@ std::string SeedSuffixedPath(const std::string& path, std::uint64_t seed);
 /// `obs` with SuffixedPath(..., tag) applied to every output path it names.
 ObsOptions SuffixedObs(ObsOptions obs, const std::string& tag);
 
-/// One full simulation. The trace's short cutoff overrides
-/// options.config.short_cutoff. Aborts if any job fails to complete.
+/// One full simulation. The trace's short cutoff classifies jobs short or
+/// long. Aborts if any job fails to complete.
 metrics::SimReport RunSimulation(const trace::Trace& trace,
                                  const cluster::Cluster& cluster,
                                  const RunOptions& options);

@@ -94,7 +94,6 @@ void SchedulerBase::SetMembership(cluster::MembershipView* membership) {
   PHOENIX_CHECK_MSG(&membership->cluster() == &cluster_,
                     "membership view must be over this scheduler's cluster");
   membership_ = membership;
-  in_service_count_ = membership->in_service_count();
   last_membership_change_ = engine_.Now();
 }
 
@@ -108,8 +107,9 @@ void SchedulerBase::SetPower(power::PowerManager* power) {
 }
 
 void SchedulerBase::AccrueInService() {
-  in_service_seconds_ += static_cast<double>(in_service_count_) *
-                         (engine_.Now() - last_membership_change_);
+  in_service_seconds_ +=
+      static_cast<double>(membership_->in_service_count()) *
+      (engine_.Now() - last_membership_change_);
   last_membership_change_ = engine_.Now();
 }
 
@@ -139,16 +139,13 @@ void SchedulerBase::CommissionMachine(MachineId id) {
   PHOENIX_CHECK(id < workers_.size());
   WorkerState& w = workers_[id];
   AccrueInService();
-  ++in_service_count_;
   membership_->SetState(id, cluster::MachineLifecycle::kActive);
   ++counters_.elastic_commissions;
   Emit(EventType::kMachineCommission, obs::kNoId, id);
   // A fresh lease starts with clean load signals: whatever a previous lease
   // taught the estimator (or a stale congestion mark) no longer describes
   // this machine.
-  w.estimator.Clear();
-  w.last_wait_estimate = 0;
-  w.crv_marked = false;
+  ResetLoadSignals(w);
   TryStartNext(w);
 }
 
@@ -197,8 +194,6 @@ bool SchedulerBase::RetireMachine(MachineId id, bool force) {
     }
   }
   AccrueInService();
-  PHOENIX_CHECK(in_service_count_ > 0);
-  --in_service_count_;
   membership_->SetState(id, cluster::MachineLifecycle::kRetired);
   if (force) {
     ++counters_.elastic_retires_forced;
@@ -206,10 +201,7 @@ bool SchedulerBase::RetireMachine(MachineId id, bool force) {
     ++counters_.elastic_retires_graceful;
   }
   Emit(EventType::kMachineRetire, obs::kNoId, id, obs::kNoId, force ? 1 : 0);
-  w.estimator.Clear();
-  w.last_wait_estimate = 0;
-  w.crv_marked = false;
-  w.steal_inflight = false;
+  ResetLoadSignals(w);
   return true;
 }
 
@@ -230,8 +222,6 @@ bool SchedulerBase::ParkMachine(MachineId id) {
   if (w.HoldsWork() || w.failed) return false;
   if (packing_on_ && !w.capacity.FitsIn(w.residual)) return false;
   AccrueInService();
-  PHOENIX_CHECK(in_service_count_ > 0);
-  --in_service_count_;
   // kPowerPark first (legal while active/draining), then the lifecycle
   // transition, then the metered wattage drop into S3.
   Emit(EventType::kPowerPark, obs::kNoId, id);
@@ -244,11 +234,8 @@ bool SchedulerBase::ParkMachine(MachineId id) {
   // A parked machine still advertises wake-penalized supply: the cleared
   // estimator reads exactly the wake penalty, so probe targeting and the
   // elastic controller see "available, but at wake cost".
-  w.estimator.Clear();
+  ResetLoadSignals(w);
   w.estimator.SetWakePenalty(power_->WakePenalty(id));
-  w.last_wait_estimate = 0;
-  w.crv_marked = false;
-  w.steal_inflight = false;
   return true;
 }
 
@@ -389,7 +376,7 @@ void SchedulerBase::InjectRepair(MachineId id) {
 void SchedulerBase::SubmitTrace(const trace::Trace& trace) {
   PHOENIX_CHECK_MSG(jobs_.empty(), "SubmitTrace may be called once");
   trace_name_ = trace.name();
-  config_.short_cutoff = trace.short_cutoff();
+  short_cutoff_ = trace.short_cutoff();
   // Job records pool their replay lists in the scheduler arena (the copy
   // constructor propagates the arena-bound allocator to every element).
   jobs_.assign(trace.size(), JobRuntime(&arena_));
@@ -426,7 +413,6 @@ void SchedulerBase::SubmitTrace(const trace::Trace& trace) {
       }
     }
   }
-  heartbeat_running_ = true;
   // One heartbeat chain per shard (a single fleet-wide chain unsharded), so
   // no tick ever scans more than one territory.
   const std::uint32_t hb_shards =
@@ -489,9 +475,10 @@ std::uint32_t SchedulerBase::TakeNextTaskIndex(JobRuntime& job) {
   return job.next_unplaced++;
 }
 
-MachineId SchedulerBase::PickLeastLoadedLive(
+MachineId SchedulerBase::PickBindTarget(
     const std::vector<MachineId>& candidates, JobRuntime& job) {
   PHOENIX_CHECK(!candidates.empty());
+  if (packing_on_) return PickBestPacked(candidates, job);
   const sim::SimTime now = engine_.Now();
   MachineId best = cluster::kInvalidMachine;
   double best_load = sim::kTimeInfinity;
@@ -516,6 +503,29 @@ MachineId SchedulerBase::PickLeastLoadedLive(
   return best;
 }
 
+QueueEntry SchedulerBase::MakeEntry(const JobRuntime& job,
+                                    QueueEntry::Kind kind,
+                                    std::uint32_t task_index) const {
+  QueueEntry entry;
+  entry.kind = kind;
+  entry.job = job.id;
+  entry.task_index = task_index;
+  entry.est_duration = EstimatedTaskDuration(job);
+  entry.short_class = job.short_class;
+  return entry;
+}
+
+QueueEntry SchedulerBase::ReplayEntry(JobRuntime& job) {
+  if (UsesDistributedPlane(job) && !DagManaged(job) &&
+      !(packing_on_ && (job.gang() || job.malleable()))) {
+    return MakeEntry(job, QueueEntry::Kind::kProbe);
+  }
+  // DAG, gang and malleable replays re-bind: a probe could fetch an
+  // unreleased DAG task. A killed index just pushed pops right back (it
+  // already ran, so its predecessors are finished).
+  return MakeEntry(job, QueueEntry::Kind::kBoundTask, TakeNextTaskIndex(job));
+}
+
 void SchedulerBase::RedispatchEntry(QueueEntry entry, double delay) {
   JobRuntime& job = jobs_[entry.job];
   ++counters_.tasks_rescheduled_failure;
@@ -528,13 +538,8 @@ void SchedulerBase::RedispatchEntry(QueueEntry entry, double delay) {
     SendEntry(target, entry, delay);
     return;
   }
-  // Bound task: re-bind to the least-loaded live satisfying worker (best
-  // vector-packing fit under packing).
-  const MachineId best = packing_on_
-                             ? PickBestPacked(ChooseLongCandidates(job), job)
-                             : PickLeastLoadedLive(ChooseLongCandidates(job),
-                                                   job);
-  SendEntry(best, entry, std::max(delay, 2 * one_way()));
+  SendEntry(PickBindTarget(ChooseLongCandidates(job), job), entry,
+            std::max(delay, 2 * one_way()));
 }
 
 void SchedulerBase::EvictWork(WorkerState& worker, bool kill_runs) {
@@ -542,80 +547,53 @@ void SchedulerBase::EvictWork(WorkerState& worker, bool kill_runs) {
   // shared RNG, so this order is part of the schedule.
   if (worker.busy) {
     rpc_.Cancel(worker.pending_call);
-    worker.pending_call = 0;
-    if (worker.resolving) {
-      // The probe being resolved never took a task; send it elsewhere.
-      BounceUndelivered(worker.resolving_entry, worker.id, one_way());
-    } else if (worker.fetching_job != trace::kInvalidJob) {
-      RecoverStickyFetch(jobs_[worker.fetching_job]);
-    }
-    worker.fetching_job = trace::kInvalidJob;
-    worker.resolving = false;
-    worker.busy = false;
+    ReleaseControlSlot(worker);
   }
   if (kill_runs && !worker.runs.empty()) {
-    const sim::SimTime now = engine_.Now();
-    if (power_ != nullptr) {
-      const double watts = power_->OnExecEnd(worker.id, now);
-      if (watts >= 0) {
-        Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-      }
-    }
     std::vector<Run> runs;
     runs.swap(worker.runs);
+    MeterExecEnd(worker);
     for (const Run& run : runs) {
       // The task is lost: un-count its unfinished service and replay it.
-      engine_.Cancel(run.pending_event);
+      StopRun(worker, run);
       JobRuntime& job = jobs_[run.job];
-      const double remaining = std::max(0.0, run.until - now);
-      total_busy_time_ -= remaining;
-      if (packing_on_) {
-        ReleasePackedCapacity(worker, job.demand, 1.0, job.id);
-        packed_core_seconds_ -=
-            remaining * job.demand[packing::PackDim::kCores];
-      }
       job.replay_tasks.push_back(run.task_index);
       Emit(EventType::kTaskKill, job.id, worker.id, run.task_index);
       // Malleable inflight is NOT decremented: the replay below re-covers
       // the task, so it stays "placed" for the width accounting.
-      QueueEntry entry;
-      entry.job = job.id;
-      entry.est_duration = EstimatedTaskDuration(job);
-      entry.short_class = job.short_class;
-      if (UsesDistributedPlane(job) && !DagManaged(job) &&
-          !(packing_on_ && (job.gang() || job.malleable()))) {
-        entry.kind = QueueEntry::Kind::kProbe;
-      } else {
-        // DAG, gang and malleable replays re-bind: a probe could fetch an
-        // unreleased DAG task. The killed index just pushed pops right back
-        // (it already ran, so its predecessors are finished).
-        entry.kind = QueueEntry::Kind::kBoundTask;
-        entry.task_index = TakeNextTaskIndex(job);
-      }
-      RedispatchEntry(std::move(entry), one_way());
+      RedispatchEntry(ReplayEntry(job), one_way());
     }
   }
   if (kill_runs) EvictGangReservations(worker);
   RefreshLongBusy(worker);
 }
 
-void SchedulerBase::RecoverStickyFetch(JobRuntime& job) {
-  // The fetched job's sibling probes may all have resolved, dissolved, or
-  // died with other machines by now, so leftover coverage cannot be
-  // assumed: re-cover the job with a fresh dispatch.
-  if (job.AllPlaced()) return;
-  ++counters_.sticky_fetch_redispatches;
-  QueueEntry entry;
-  entry.job = job.id;
-  entry.est_duration = EstimatedTaskDuration(job);
-  entry.short_class = job.short_class;
-  if (UsesDistributedPlane(job)) {
-    entry.kind = QueueEntry::Kind::kProbe;
-  } else {
-    entry.kind = QueueEntry::Kind::kBoundTask;
-    entry.task_index = TakeNextTaskIndex(job);
+void SchedulerBase::ReleaseControlSlot(WorkerState& worker) {
+  const bool resolving = worker.resolving;
+  const JobId fetching = worker.fetching_job;
+  worker.pending_call = 0;
+  worker.resolving = false;
+  worker.fetching_job = trace::kInvalidJob;
+  worker.busy = false;
+  if (resolving) {
+    // The probe being resolved never took a task: treat it like one bounced
+    // off a dead destination (re-sent while the job has unplaced tasks,
+    // dissolved otherwise).
+    BounceUndelivered(worker.resolving_entry, worker.id, one_way());
+  } else if (fetching != trace::kInvalidJob && !jobs_[fetching].AllPlaced()) {
+    // The fetched job's sibling probes may all have resolved, dissolved, or
+    // died with other machines by now, so leftover coverage cannot be
+    // assumed: re-cover the job with a fresh dispatch.
+    ++counters_.sticky_fetch_redispatches;
+    RedispatchEntry(ReplayEntry(jobs_[fetching]), one_way());
   }
-  RedispatchEntry(std::move(entry), one_way());
+}
+
+void SchedulerBase::ResetLoadSignals(WorkerState& worker) {
+  worker.estimator.Clear();
+  worker.last_wait_estimate = 0;
+  worker.crv_marked = false;
+  worker.steal_inflight = false;
 }
 
 void SchedulerBase::RefreshLongBusy(const WorkerState& worker) {
@@ -656,13 +634,10 @@ void SchedulerBase::FailMachine(WorkerState& worker, bool auto_repair) {
 void SchedulerBase::RepairMachine(WorkerState& worker) {
   PHOENIX_CHECK(worker.failed);
   worker.failed = false;
-  worker.steal_inflight = false;
-  worker.estimator.Clear();
-  // The congestion marking predates the failure; everything it summarized
-  // was killed or re-dispatched, so carrying it over would skew wait-aware
+  // The load signals predate the failure; everything they summarized was
+  // killed or re-dispatched, so carrying them over would skew wait-aware
   // probe ranking and CRV reordering until the next heartbeat.
-  worker.last_wait_estimate = 0;
-  worker.crv_marked = false;
+  ResetLoadSignals(worker);
   Emit(EventType::kMachineRepair, obs::kNoId, worker.id);
   TryStartNext(worker);
   if (config_.machine_mtbf > 0 && !AllJobsDone()) {
@@ -744,10 +719,7 @@ void SchedulerBase::HeartbeatTick(std::uint32_t shard) {
          static_cast<double>(queued));
   }
   AuditWorkers(/*final_state=*/false, lo, hi);
-  if (AllJobsDone()) {
-    heartbeat_running_ = false;
-    return;  // let the event queue drain so Run() terminates
-  }
+  if (AllJobsDone()) return;  // let the event queue drain so Run() terminates
   engine_.ScheduleAfter(config_.heartbeat_interval,
                         [this, shard] { HeartbeatTick(shard); });
 }
@@ -772,7 +744,7 @@ void SchedulerBase::RefreshShardDigest(std::uint32_t shard, MachineId lo,
 void SchedulerBase::HandleJobArrival(JobId id) {
   JobRuntime& job = jobs_[id];
   job.short_class =
-      EstimatedTaskDuration(job) <= config_.short_cutoff;
+      EstimatedTaskDuration(job) <= short_cutoff_;
   Emit(EventType::kJobArrival, id, obs::kNoId, obs::kNoId,
        static_cast<double>(job.num_tasks()));
   if (packing_on_) {
@@ -1002,24 +974,13 @@ void SchedulerBase::MaybePreemptFor(WorkerState& worker,
 void SchedulerBase::PreemptRun(WorkerState& worker, std::size_t index) {
   const Run run = worker.runs[index];
   worker.runs.erase(worker.runs.begin() + static_cast<std::ptrdiff_t>(index));
-  engine_.Cancel(run.pending_event);
+  StopRun(worker, run);
+  MeterExecEnd(worker);
   JobRuntime& victim = jobs_[run.job];
-  const sim::SimTime now = engine_.Now();
-  const double remaining = std::max(0.0, run.until - now);
-  const double elapsed = std::max(0.0, now - run.start);
-  if (packing_on_) {
-    ReleasePackedCapacity(worker, victim.demand, 1.0, victim.id);
-    packed_core_seconds_ -= remaining * victim.demand[packing::PackDim::kCores];
-  }
-  if (power_ != nullptr && worker.runs.empty()) {
-    const double watts = power_->OnExecEnd(worker.id, now);
-    if (watts >= 0) {
-      Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
-    }
-  }
-  // The machine was genuinely busy for `elapsed`; only the unserved
-  // remainder leaves the busy-time integral. The served part is wasted work.
-  total_busy_time_ -= remaining;
+  // The machine was genuinely busy for `elapsed`; StopRun took only the
+  // unserved remainder out of the busy-time integral. The served part is
+  // wasted work.
+  const double elapsed = std::max(0.0, engine_.Now() - run.start);
   counters_.preemption_lost_seconds += elapsed;
   ++counters_.preemptions_issued;
   ++victim.preemptions;
@@ -1034,23 +995,12 @@ void SchedulerBase::PreemptRun(WorkerState& worker, std::size_t index) {
   // Requeue on the same worker. Kill and requeue are one local control
   // action — no message transits the fabric — so chaos injection cannot
   // strand a preempted task.
-  QueueEntry entry;
-  entry.kind = QueueEntry::Kind::kBoundTask;
-  entry.job = victim.id;
-  entry.task_index = run.task_index;
-  entry.est_duration = EstimatedTaskDuration(victim);
-  entry.enqueue_time = now;
-  entry.short_class = victim.short_class;
+  QueueEntry entry =
+      MakeEntry(victim, QueueEntry::Kind::kBoundTask, run.task_index);
   entry.service_penalty = config_.tenancy.preemption_restart_cost;
   entry.preempt_count = static_cast<std::uint8_t>(
       std::min<std::size_t>(run.preempt_count + 1, 255));
-  worker.queue.push_back(entry);
-  worker.est_queued_work += entry.est_duration;
-  if (!entry.short_class) ++worker.long_entries;
-  RefreshLongBusy(worker);
-  worker.estimator.OnArrival(now);
-  OnEntryEnqueued(worker, entry);
-  TenantQueuedDelta(entry, +1);
+  EnqueueEntry(worker, entry);
   ++counters_.preemption_requeues;
   Emit(EventType::kPreemptRequeue, victim.id, worker.id, run.task_index);
 }
@@ -1103,6 +1053,16 @@ std::vector<MachineId> SchedulerBase::ChooseLongCandidates(
 
 std::size_t SchedulerBase::SelectNextIndex(const WorkerState& worker) {
   return IndexRespectingSlack(worker, 0);
+}
+
+std::size_t SchedulerBase::SrptIndex(const WorkerState& worker) const {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < worker.queue.size(); ++i) {
+    if (worker.queue[i].est_duration < worker.queue[best].est_duration) {
+      best = i;
+    }
+  }
+  return best;
 }
 
 void SchedulerBase::OnWorkerIdle(WorkerState&) {}
@@ -1208,18 +1168,10 @@ void SchedulerBase::PlaceDistributedFederated(JobRuntime& job) {
   while (targets.size() < wanted) {
     targets.push_back(SampleEligibleInShard(job.effective, target_shard));
   }
-  counters_.probes_sent += targets.size();
-  job.outstanding_probes += static_cast<std::uint32_t>(targets.size());
-  QueueEntry entry;
-  entry.kind = QueueEntry::Kind::kProbe;
-  entry.job = job.id;
-  entry.est_duration = EstimatedTaskDuration(job);
-  entry.short_class = job.short_class;
   for (const MachineId target : targets) {
     if (target < lo || target >= hi) ++counters_.fed_cross_shard_probes;
-    Emit(EventType::kProbeSend, job.id, target);
-    SendEntry(target, entry, one_way());
   }
+  SendProbes(job, targets);
 }
 
 // Federated centralized placement: each task binds least-loaded within the
@@ -1244,14 +1196,9 @@ void SchedulerBase::PlaceCentralizedFederated(JobRuntime& job) {
           SampleEligibleInShard(job.effective, target_shard));
     }
     FilterByPlacement(job, candidates);
-    const MachineId best = PickLeastLoadedLive(candidates, job);
+    const MachineId best = PickBindTarget(candidates, job);
     NoteRackCommitment(job, cluster_.rack_of(best));
-    QueueEntry entry;
-    entry.kind = QueueEntry::Kind::kBoundTask;
-    entry.job = job.id;
-    entry.task_index = index;
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
+    QueueEntry entry = MakeEntry(job, QueueEntry::Kind::kBoundTask, index);
     if (federation_->shard_of(best) != home) {
       entry.cross_shard = true;
       ++counters_.fed_bind_attempts;
@@ -1306,16 +1253,17 @@ void SchedulerBase::PlaceDistributed(JobRuntime& job) {
   }
   PHOENIX_CHECK_MSG(targets.size() >= job.num_tasks(),
                     "probe budget below task count");
+  SendProbes(job, targets);
+}
+
+void SchedulerBase::SendProbes(JobRuntime& job,
+                               const std::vector<MachineId>& targets) {
   counters_.probes_sent += targets.size();
   job.outstanding_probes += static_cast<std::uint32_t>(targets.size());
-  QueueEntry entry;
-  entry.kind = QueueEntry::Kind::kProbe;
-  entry.job = job.id;
-  entry.est_duration = EstimatedTaskDuration(job);
-  entry.short_class = job.short_class;
+  const QueueEntry probe = MakeEntry(job, QueueEntry::Kind::kProbe);
   for (const MachineId target : targets) {
     Emit(EventType::kProbeSend, job.id, target);
-    SendEntry(target, entry, one_way());
+    SendEntry(target, probe, one_way());
   }
 }
 
@@ -1324,26 +1272,18 @@ void SchedulerBase::PlaceCentralized(JobRuntime& job) {
     PlaceCentralizedFederated(job);
     return;
   }
-  while (!job.AllPlaced()) {
-    const std::uint32_t index = TakeNextTaskIndex(job);
-    std::vector<MachineId> candidates = ChooseLongCandidates(job);
-    PHOENIX_CHECK_MSG(!candidates.empty(),
-                      "admission control must leave a satisfiable pool");
-    FilterByPlacement(job, candidates);
-    // Shared with RedispatchEntry: least-loaded live candidate, or a fresh
-    // pool draw when every candidate is down (never a known-dead bind).
-    // Under packing, best vector fit wins instead.
-    const MachineId best = packing_on_ ? PickBestPacked(candidates, job)
-                                       : PickLeastLoadedLive(candidates, job);
-    NoteRackCommitment(job, cluster_.rack_of(best));
-    QueueEntry entry;
-    entry.kind = QueueEntry::Kind::kBoundTask;
-    entry.job = job.id;
-    entry.task_index = index;
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
-    SendEntry(best, entry, one_way());
-  }
+  while (!job.AllPlaced()) BindTask(job, TakeNextTaskIndex(job));
+}
+
+void SchedulerBase::BindTask(JobRuntime& job, std::uint32_t task_index) {
+  std::vector<MachineId> candidates = ChooseLongCandidates(job);
+  PHOENIX_CHECK_MSG(!candidates.empty(),
+                    "admission control must leave a satisfiable pool");
+  FilterByPlacement(job, candidates);
+  const MachineId best = PickBindTarget(candidates, job);
+  NoteRackCommitment(job, cluster_.rack_of(best));
+  SendEntry(best, MakeEntry(job, QueueEntry::Kind::kBoundTask, task_index),
+            one_way());
 }
 
 void SchedulerBase::SendEntry(MachineId target, QueueEntry entry, double delay,
@@ -1400,24 +1340,26 @@ void SchedulerBase::DeliverEntry(MachineId target, QueueEntry entry) {
     BounceUndelivered(std::move(entry), target, fabric_.bounce_backoff());
     return;
   }
+  w.steal_inflight = false;  // incoming work satisfies any pending steal
+  EnqueueEntry(w, entry);
+  if (tenancy_on_) MaybePreemptFor(w, entry);
+  TryStartNext(w);
+}
+
+void SchedulerBase::EnqueueEntry(WorkerState& worker, QueueEntry entry) {
   entry.enqueue_time = engine_.Now();
   entry.bypass_count = 0;
-  w.queue.push_back(entry);
-  w.est_queued_work += entry.est_duration;
+  worker.queue.push_back(entry);
+  worker.est_queued_work += entry.est_duration;
   if (entry.kind == QueueEntry::Kind::kBoundTask && !entry.short_class) {
-    ++w.long_entries;
-    RefreshLongBusy(w);
+    ++worker.long_entries;
+    RefreshLongBusy(worker);
   } else if (entry.kind == QueueEntry::Kind::kProbe && entry.short_class) {
-    ++short_probe_counts_[target];
+    ++short_probe_counts_[worker.id];
   }
-  w.estimator.OnArrival(engine_.Now());
-  w.steal_inflight = false;  // incoming work satisfies any pending steal
-  OnEntryEnqueued(w, entry);
-  if (tenancy_on_) {
-    TenantQueuedDelta(entry, +1);
-    MaybePreemptFor(w, entry);
-  }
-  TryStartNext(w);
+  worker.estimator.OnArrival(engine_.Now());
+  OnEntryEnqueued(worker, entry);
+  if (tenancy_on_) TenantQueuedDelta(entry, +1);
 }
 
 void SchedulerBase::GiveUpEntry(MachineId target, QueueEntry entry) {
@@ -1559,30 +1501,15 @@ void SchedulerBase::TryStartNext(WorkerState& worker) {
           w.resolving = false;
           ResolveProbe(w, entry);
         },
-        [this, wid = worker.id, entry] { AbortProbeResolution(wid, entry); });
+        [this, wid = worker.id] { AbortFetch(wid); });
     return;
   }
   if (worker.runs.empty()) OnWorkerIdle(worker);
 }
 
-void SchedulerBase::AbortProbeResolution(MachineId wid, QueueEntry entry) {
-  // Every fetch attempt for the held probe timed out: release the slot and
-  // treat the probe like one bounced off a dead destination (re-dispatched
-  // while the job still has unplaced tasks, dissolved otherwise).
+void SchedulerBase::AbortFetch(MachineId wid) {
   WorkerState& w = workers_[wid];
-  w.pending_call = 0;
-  w.resolving = false;
-  w.busy = false;
-  BounceUndelivered(std::move(entry), wid, one_way());
-  TryStartNext(w);
-}
-
-void SchedulerBase::AbortStickyFetch(MachineId wid, trace::JobId jid) {
-  WorkerState& w = workers_[wid];
-  w.pending_call = 0;
-  w.fetching_job = trace::kInvalidJob;
-  w.busy = false;
-  RecoverStickyFetch(jobs_[jid]);
+  ReleaseControlSlot(w);
   TryStartNext(w);
 }
 
@@ -1711,14 +1638,9 @@ void SchedulerBase::FinishRun(MachineId wid, std::uint32_t run_id,
     const std::uint8_t rank = tenancy::PriorityRank(job.priority);
     class_exec_joules_[rank] += share * duration;
     ++class_tasks_[rank];
-    if (worker.runs.empty()) {
-      const double watts = power_->OnExecEnd(wid, now);
-      if (watts >= 0) {
-        Emit(EventType::kPowerState, obs::kNoId, wid, obs::kNoId, watts);
-      }
-    }
   }
-  if (packing_on_) ReleasePackedCapacity(worker, job.demand, 1.0, job.id);
+  MeterExecEnd(worker);
+  StopRun(worker, run);
   worker.estimator.OnServiceComplete(duration);
   if (tenancy_on_ && tenants_.Known(job.tenant)) {
     tenants_.state(job.tenant).usage_seconds += duration;
@@ -1771,10 +1693,31 @@ void SchedulerBase::FinishRun(MachineId wid, std::uint32_t run_id,
             TryStartNext(w);
           }
         },
-        [this, wid, jid = job.id] { AbortStickyFetch(wid, jid); });
+        [this, wid] { AbortFetch(wid); });
     return;
   }
   TryStartNext(worker);
+}
+
+void SchedulerBase::StopRun(WorkerState& worker, const Run& run) {
+  engine_.Cancel(run.pending_event);  // a no-op once the completion fired
+  const JobRuntime& job = jobs_[run.job];
+  const double remaining = std::max(0.0, run.until - engine_.Now());
+  total_busy_time_ -= remaining;
+  if (packing_on_) {
+    ReleasePackedCapacity(worker, job.demand, 1.0, job.id);
+    packed_core_seconds_ -= remaining * job.demand[packing::PackDim::kCores];
+  }
+}
+
+void SchedulerBase::MeterExecEnd(const WorkerState& worker) {
+  // Exec metering closes on the 1 -> 0 run transition only (StartRun opens
+  // it on 0 -> 1); concurrent packed runs share one exec draw.
+  if (power_ == nullptr || !worker.runs.empty()) return;
+  const double watts = power_->OnExecEnd(worker.id, engine_.Now());
+  if (watts >= 0) {
+    Emit(EventType::kPowerState, obs::kNoId, worker.id, obs::kNoId, watts);
+  }
 }
 
 bool SchedulerBase::TryStealFor(WorkerState& worker) {
@@ -2063,12 +2006,8 @@ void SchedulerBase::PlaceGang(JobId id) {
   // Member entries transit the fabric like any bind; DeliverEntry diverts
   // them into the staging area while the round is open.
   for (const MachineId t : targets) {
-    QueueEntry entry;
-    entry.kind = QueueEntry::Kind::kBoundTask;
-    entry.job = id;
-    entry.task_index = TakeNextTaskIndex(job);
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
+    const QueueEntry entry =
+        MakeEntry(job, QueueEntry::Kind::kBoundTask, TakeNextTaskIndex(job));
     NoteRackCommitment(job, cluster_.rack_of(t));
     SendEntry(t, entry, one_way());
   }
@@ -2199,20 +2138,7 @@ void SchedulerBase::PlaceMalleable(JobId id) {
 void SchedulerBase::TopUpMalleable(JobRuntime& job) {
   if (job.Done()) return;
   while (!job.AllPlaced() && job.malleable_inflight < job.malleable_width) {
-    const std::uint32_t index = TakeNextTaskIndex(job);
-    std::vector<MachineId> candidates = ChooseLongCandidates(job);
-    PHOENIX_CHECK_MSG(!candidates.empty(),
-                      "admission control must leave a satisfiable pool");
-    FilterByPlacement(job, candidates);
-    const MachineId best = PickBestPacked(candidates, job);
-    NoteRackCommitment(job, cluster_.rack_of(best));
-    QueueEntry entry;
-    entry.kind = QueueEntry::Kind::kBoundTask;
-    entry.job = job.id;
-    entry.task_index = index;
-    entry.est_duration = EstimatedTaskDuration(job);
-    entry.short_class = job.short_class;
-    SendEntry(best, entry, one_way());
+    BindTask(job, TakeNextTaskIndex(job));
     ++job.malleable_inflight;
   }
 }
@@ -2283,10 +2209,9 @@ void SchedulerBase::DispatchReadyDagTasks(JobRuntime& job,
 }
 
 void SchedulerBase::PlaceDagTask(JobRuntime& job, std::uint32_t task_index) {
-  // The per-task body of PlaceCentralized with an explicit index. DAG tasks
-  // always bind early, whatever the job's duration class: a late-binding
-  // probe fetches the job's next task in index order, which could hand out
-  // a task whose predecessors have not finished.
+  // DAG tasks always bind early, whatever the job's duration class: a
+  // late-binding probe fetches the job's next task in index order, which
+  // could hand out a task whose predecessors have not finished.
   workflow::DagState& state = *dag_states_[job.id];
   ++state.released;
   // next_unplaced doubles as the release counter so AllPlaced() keeps its
@@ -2294,20 +2219,7 @@ void SchedulerBase::PlaceDagTask(JobRuntime& job, std::uint32_t task_index) {
   ++job.next_unplaced;
   ++counters_.dag_tasks_released;
   Emit(EventType::kDagRelease, job.id, obs::kNoId, task_index);
-  std::vector<MachineId> candidates = ChooseLongCandidates(job);
-  PHOENIX_CHECK_MSG(!candidates.empty(),
-                    "admission control must leave a satisfiable pool");
-  FilterByPlacement(job, candidates);
-  const MachineId best = packing_on_ ? PickBestPacked(candidates, job)
-                                     : PickLeastLoadedLive(candidates, job);
-  NoteRackCommitment(job, cluster_.rack_of(best));
-  QueueEntry entry;
-  entry.kind = QueueEntry::Kind::kBoundTask;
-  entry.job = job.id;
-  entry.task_index = task_index;
-  entry.est_duration = EstimatedTaskDuration(job);
-  entry.short_class = job.short_class;
-  SendEntry(best, entry, one_way());
+  BindTask(job, task_index);
 }
 
 void SchedulerBase::ReleaseDagSuccessors(JobRuntime& job,
@@ -2402,8 +2314,9 @@ metrics::SimReport SchedulerBase::BuildReport() const {
     // (BuildReport is const and may be called more than once).
     const double horizon = std::max<double>(makespan_, last_membership_change_);
     report.active_machine_seconds =
-        in_service_seconds_ + static_cast<double>(in_service_count_) *
-                                  (horizon - last_membership_change_);
+        in_service_seconds_ +
+        static_cast<double>(membership_->in_service_count()) *
+            (horizon - last_membership_change_);
   }
   if (power_ != nullptr) {
     const double horizon = std::max<double>(makespan_, last_membership_change_);

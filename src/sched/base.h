@@ -81,10 +81,6 @@ class SchedulerBase {
   /// True when every submitted job has completed.
   bool AllJobsDone() const { return jobs_done_ == jobs_.size(); }
 
-  /// Per-tenant accounting of the run (empty registry when the config
-  /// declared no tenants).
-  const tenancy::TenantRegistry& tenants() const { return tenants_; }
-
   // ---- Sharded control plane ---------------------------------------------
 
   /// Partitions the control plane into cfg.shards territories over this
@@ -266,6 +262,10 @@ class SchedulerBase {
   std::size_t IndexRespectingSlack(const WorkerState& worker,
                                    std::size_t preferred) const;
 
+  /// Shortest-estimate entry (first on ties), ignoring slack: the SRPT pick
+  /// Eagle, Phoenix and Yacc-D reorder their queues by.
+  std::size_t SrptIndex(const WorkerState& worker) const;
+
   /// Sends `entry` toward worker `target` over the fabric with nominal
   /// transit `delay` seconds (`from` is the sending endpoint — the
   /// controller for placements, a worker for steals/migrations). Delivery
@@ -383,8 +383,6 @@ class SchedulerBase {
   JobRuntime& runtime(trace::JobId id) { return jobs_[id]; }
   const JobRuntime& runtime(trace::JobId id) const { return jobs_[id]; }
   WorkerState& worker(cluster::MachineId id) { return workers_[id]; }
-  std::size_t num_workers() const { return workers_.size(); }
-  std::size_t num_jobs() const { return jobs_.size(); }
 
   /// Worker holds long work, queued or executing — Eagle's SSS bit. Served
   /// from a dense byte array so rejection-sampling probe loops touch one
@@ -394,7 +392,6 @@ class SchedulerBase {
   sim::Engine& engine() { return engine_; }
   /// The control-plane message fabric (chaos injection, partition control).
   net::NetworkFabric& fabric() { return fabric_; }
-  net::Rpc& rpc() { return rpc_; }
   /// Nominal one-way control-plane transit time — the fabric-owned
   /// parameter every scheduler shares (no per-scheduler delay constants).
   double one_way() const { return config_.net.one_way; }
@@ -452,13 +449,31 @@ class SchedulerBase {
   /// released. Shared by the failure and forced-retire paths; a drain
   /// passes kill_runs=false to free the control slot only.
   void EvictWork(WorkerState& worker, bool kill_runs);
-  /// Re-dispatches the rest of a job whose sticky-batch fetch was lost.
-  void RecoverStickyFetch(JobRuntime& job);
+  /// Frees the control slot of a fetch that will never land (cancelled or
+  /// timed out) and re-covers what it held: the probe being resolved
+  /// bounces, a sticky-fetched job with unplaced tasks is re-dispatched.
+  void ReleaseControlSlot(WorkerState& worker);
+  /// Every attempt of the fetch holding `wid`'s control slot timed out:
+  /// release the slot and look for other work.
+  void AbortFetch(cluster::MachineId wid);
+  /// Clears the load signals a commission, park, retire or repair
+  /// invalidates: the estimator, the E[W] snapshot, the CRV mark and a
+  /// pending steal.
+  void ResetLoadSignals(WorkerState& worker);
   /// Closes the in-service machine-seconds integral at the current time
-  /// (call before in_service_count_ changes).
+  /// (call before the membership view's in-service count changes).
   void AccrueInService();
+  /// The one QueueEntry builder: `kind` entry of `job` (`task_index` is
+  /// meaningful for bound tasks only).
+  QueueEntry MakeEntry(const JobRuntime& job, QueueEntry::Kind kind,
+                       std::uint32_t task_index = 0) const;
+  /// Entry re-covering one lost task of `job` (a killed run or a lost
+  /// sticky fetch): a probe on the distributed plane, else the next task
+  /// index bound early (always for DAG, gang and malleable jobs).
+  QueueEntry ReplayEntry(JobRuntime& job);
   /// Re-dispatches an entry that lost its worker: probes are re-sent to a
-  /// fresh satisfying target, bound tasks are re-bound least-loaded.
+  /// fresh satisfying target, bound tasks are re-bound through
+  /// PickBindTarget.
   /// `delay` is the transit time (bounces off still-failed destinations use
   /// a backoff so a fully-failed pool cannot spin the event loop).
   void RedispatchEntry(QueueEntry entry, double delay);
@@ -472,12 +487,11 @@ class SchedulerBase {
   /// Fabric delivery of an entry at `target` (the receiving half of
   /// SendEntry, also reached by duplicated copies exactly once).
   void DeliverEntry(cluster::MachineId target, QueueEntry entry);
+  /// Appends `entry` to the worker's queue, stamped now, with every load
+  /// signal it feeds — the mirror of RemoveQueueAt.
+  void EnqueueEntry(WorkerState& worker, QueueEntry entry);
   /// SendEntry exhausted its delivery attempts toward `target`.
   void GiveUpEntry(cluster::MachineId target, QueueEntry entry);
-  /// A slot-holding fetch RPC exhausted its retries: release the slot and
-  /// re-cover the held probe / fetched job.
-  void AbortProbeResolution(cluster::MachineId wid, QueueEntry entry);
-  void AbortStickyFetch(cluster::MachineId wid, trace::JobId jid);
   /// Recomputes the worker's dense LongBusy flag. Called at every site
   /// mutating long_entries or the run list; the recompute
   /// keeps one definition of "holds long work" instead of incremental
@@ -485,12 +499,20 @@ class SchedulerBase {
   void RefreshLongBusy(const WorkerState& worker);
 
   void PlaceDistributed(JobRuntime& job);
+  /// Counts and sends one probe of `job` to each of `targets`.
+  void SendProbes(JobRuntime& job,
+                  const std::vector<cluster::MachineId>& targets);
   void PlaceCentralized(JobRuntime& job);
-  /// Least-loaded live machine among `candidates`, falling back to a fresh
-  /// draw from the job's satisfying pool when every candidate is down (the
-  /// delivery bounce re-dispatches if that draw is down too). Shared by
-  /// the centralized placement and failure re-binding paths.
-  cluster::MachineId PickLeastLoadedLive(
+  /// Early binding of task `task_index`: candidates, placement filter,
+  /// PickBindTarget, rack note, send. The per-task body of centralized,
+  /// DAG and malleable placement.
+  void BindTask(JobRuntime& job, std::uint32_t task_index);
+  /// Early-binding target among `candidates`: the best vector fit under
+  /// packing (PickBestPacked), else the least-loaded live machine, falling
+  /// back to a fresh draw from the job's satisfying pool when every
+  /// candidate is down (the delivery bounce re-dispatches if that draw is
+  /// down too).
+  cluster::MachineId PickBindTarget(
       const std::vector<cluster::MachineId>& candidates, JobRuntime& job);
   void ResolveProbe(WorkerState& worker, QueueEntry entry);
   /// The worker has room to start `entry` now: a single-slot worker when it
@@ -506,6 +528,12 @@ class SchedulerBase {
   /// Completion event of run `run_id` on `wid`.
   void FinishRun(cluster::MachineId wid, std::uint32_t run_id,
                  double duration);
+  /// Takes `run`, already off the run list, off the machine's ledgers: its
+  /// completion event, the unserved remainder of its busy time and packed
+  /// core-seconds, and its packed capacity.
+  void StopRun(WorkerState& worker, const Run& run);
+  /// Closes the machine's exec metering once its last run is gone.
+  void MeterExecEnd(const WorkerState& worker);
   /// One heartbeat of `shard`'s territory (shard 0 covers the whole fleet
   /// when federation is off); each shard runs its own tick chain.
   void HeartbeatTick(std::uint32_t shard);
@@ -612,8 +640,7 @@ class SchedulerBase {
   /// Arrival placement for a DAG job: builds the precedence state and
   /// dispatches every source (indegree-zero) task.
   void PlaceDagJob(JobRuntime& job);
-  /// Binds one released DAG task centrally (the per-task body of
-  /// PlaceCentralized with an explicit index), emitting kDagRelease.
+  /// Binds one released DAG task early (BindTask), emitting kDagRelease.
   void PlaceDagTask(JobRuntime& job, std::uint32_t task_index);
   /// A DAG task finished: decrement successor indegrees and dispatch every
   /// newly-ready task in critical-path order (longest downstream work
@@ -673,7 +700,9 @@ class SchedulerBase {
   metrics::SchedulerCounters counters_;
   double total_busy_time_ = 0;
   sim::SimTime makespan_ = 0;
-  bool heartbeat_running_ = false;
+  /// Jobs whose estimated mean task duration is at most this are short
+  /// (set from the trace by SubmitTrace).
+  double short_cutoff_ = 0;
 
   /// Multi-tenant state. tenancy_on_ gates every tenancy touch point so a
   /// zero-tenant config never enters a tenancy branch (byte-identity).
@@ -693,7 +722,6 @@ class SchedulerBase {
   cluster::MembershipView* membership_ = nullptr;
   double in_service_seconds_ = 0;
   double last_membership_change_ = 0;
-  std::size_t in_service_count_ = 0;
 
   /// Power manager (null by default): gates DVFS service-time scaling, the
   /// exec on/off metering hooks, and the energy fields of BuildReport.

@@ -31,16 +31,6 @@ std::vector<cluster::MachineId> EagleScheduler::ChooseProbeTargets(
   return targets;
 }
 
-std::size_t EagleScheduler::SrptIndex(const WorkerState& worker) const {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < worker.queue.size(); ++i) {
-    if (worker.queue[i].est_duration < worker.queue[best].est_duration) {
-      best = i;
-    }
-  }
-  return best;
-}
-
 std::size_t EagleScheduler::SelectNextIndex(const WorkerState& worker) {
   const std::size_t index = IndexRespectingSlack(worker, SrptIndex(worker));
   if (index != 0) ++counters().tasks_reordered_srpt;

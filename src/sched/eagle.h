@@ -33,9 +33,6 @@ class EagleScheduler : public HawkScheduler {
 
   // The SSS bit itself is SchedulerBase::LongBusy(id) — a dense flag the
   // base maintains so the rejection loop below stays cache-resident.
-
-  /// Shortest-remaining-estimate index ignoring slack (helper for Phoenix).
-  std::size_t SrptIndex(const WorkerState& worker) const;
 };
 
 }  // namespace phoenix::sched

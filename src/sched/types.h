@@ -23,7 +23,8 @@ namespace phoenix::sched {
 
 /// Tunables shared by every scheduler. Defaults follow the paper's stated
 /// choices (§V-A, §VI-C): probe ratio 2, 0.5 ms one-way transit, 9 s
-/// heartbeat, starvation/slack threshold 5.
+/// heartbeat, starvation/slack threshold 5. The `static constexpr` members
+/// are fixed design constants: nothing varies them, so they are not knobs.
 struct SchedulerConfig {
   /// Control-plane delivery model. Every probe delivery, late-binding task
   /// fetch, steal, migration, and heartbeat report transits the
@@ -39,15 +40,11 @@ struct SchedulerConfig {
   /// CRV monitor / node manager synchronization period (paper: 9 s).
   double heartbeat_interval = 9.0;
 
-  /// Jobs whose estimated mean task duration is <= this are "short" and go
-  /// through the distributed plane. Set from the trace by the runner.
-  double short_cutoff = 90.0;
-
   /// Workers an idle node contacts per steal attempt (Hawk/Eagle).
-  std::size_t steal_candidates = 4;
+  static constexpr std::size_t steal_candidates = 4;
 
   /// Fraction of the cluster Hawk reserves for short jobs only.
-  double hawk_short_partition = 0.09;
+  static constexpr double hawk_short_partition = 0.09;
 
   /// Max times a queued entry may be bypassed by reordering (paper: 5).
   std::size_t slack_threshold = 5;
@@ -57,20 +54,19 @@ struct SchedulerConfig {
   double crv_threshold = 1.0;
 
   /// Estimated queue wait (seconds) marking a worker for CRV reordering.
-  double qwait_threshold = 10.0;
+  static constexpr double qwait_threshold = 10.0;
 
   /// Service-time multiplier applied per relaxed soft constraint — the
-  /// "performance trade-off" of §III-A's negotiation. The ablation bench
-  /// shows tail gains are insensitive in 1.05-1.25 while median cost grows
-  /// with the penalty; 1.1 models a modest placement-quality loss.
-  double soft_relax_penalty = 1.1;
+  /// "performance trade-off" of §III-A's negotiation; 1.1 models a modest
+  /// placement-quality loss.
+  static constexpr double soft_relax_penalty = 1.1;
 
   /// Candidate count for power-of-d least-loaded placement in the
   /// centralized (long-job) plane.
-  std::size_t power_of_d = 8;
+  static constexpr std::size_t power_of_d = 8;
 
   /// Samples kept by each worker's P-K wait estimator.
-  std::size_t estimator_window = 64;
+  static constexpr std::size_t estimator_window = 64;
 
   std::uint64_t seed = 1;
 
@@ -90,7 +86,7 @@ struct SchedulerConfig {
   /// Cap on proactively negotiated (soft) constraints per job. The paper
   /// negotiates "in which all the constraints could not be satisfied"; one
   /// relaxation per job keeps the placement-quality trade bounded.
-  std::size_t phoenix_max_relaxations = 1;
+  static constexpr std::size_t phoenix_max_relaxations = 1;
 
   /// Multi-tenant scheduling (src/tenancy): tenant specs, preemption policy
   /// and quota window. Empty tenant list = disabled, byte-identical to a

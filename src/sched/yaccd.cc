@@ -1,17 +1,9 @@
 #include "sched/yaccd.h"
 
-#include <algorithm>
-
 namespace phoenix::sched {
 
 std::size_t YaccDScheduler::SelectNextIndex(const WorkerState& worker) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < worker.queue.size(); ++i) {
-    if (worker.queue[i].est_duration < worker.queue[best].est_duration) {
-      best = i;
-    }
-  }
-  const std::size_t index = IndexRespectingSlack(worker, best);
+  const std::size_t index = IndexRespectingSlack(worker, SrptIndex(worker));
   if (index != 0) ++counters().tasks_reordered_srpt;
   return index;
 }

@@ -164,18 +164,19 @@ class AdmissionTest : public ::testing::Test {
 };
 
 TEST_F(AdmissionTest, RelaxesSoftConstraintOnHotDim) {
-  AdmissionController ac(cluster_, 1.0, 1.25, 6);
+  AdmissionController ac(cluster_, 1.0);
   // A scarce soft request: 40 Gbps NIC (net dim), ~7 % of machines.
   auto job = MakeJob(ConstraintSet(
       {{Attr::kEthernetSpeed, ConstraintOp::kGreater, 10, false}}));
   const auto relaxed = ac.Negotiate(job, HotSnapshot(CrvDim::kNet));
   EXPECT_EQ(relaxed, 1u);
   EXPECT_TRUE(job.effective.empty());
-  EXPECT_NEAR(job.duration_multiplier, 1.25, 1e-12);
+  EXPECT_NEAR(job.duration_multiplier,
+              sched::SchedulerConfig::soft_relax_penalty, 1e-12);
 }
 
 TEST_F(AdmissionTest, NeverRelaxesHardConstraints) {
-  AdmissionController ac(cluster_, 1.0, 1.25, 6);
+  AdmissionController ac(cluster_, 1.0);
   auto job = MakeJob(ConstraintSet(
       {{Attr::kEthernetSpeed, ConstraintOp::kGreater, 10, true}}));
   EXPECT_EQ(ac.Negotiate(job, HotSnapshot(CrvDim::kNet)), 0u);
@@ -183,7 +184,7 @@ TEST_F(AdmissionTest, NeverRelaxesHardConstraints) {
 }
 
 TEST_F(AdmissionTest, ColdDimensionsAreLeftAlone) {
-  AdmissionController ac(cluster_, 1.0, 1.25, 6);
+  AdmissionController ac(cluster_, 1.0);
   auto job = MakeJob(ConstraintSet(
       {{Attr::kEthernetSpeed, ConstraintOp::kGreater, 10, false}}));
   CrvSnapshot cold;  // all ratios zero
@@ -192,7 +193,7 @@ TEST_F(AdmissionTest, ColdDimensionsAreLeftAlone) {
 }
 
 TEST_F(AdmissionTest, LongJobsAreNotNegotiated) {
-  AdmissionController ac(cluster_, 1.0, 1.25, 6);
+  AdmissionController ac(cluster_, 1.0);
   auto job = MakeJob(
       ConstraintSet({{Attr::kEthernetSpeed, ConstraintOp::kGreater, 10, false}}),
       /*short_class=*/false);
@@ -200,7 +201,7 @@ TEST_F(AdmissionTest, LongJobsAreNotNegotiated) {
 }
 
 TEST_F(AdmissionTest, RoomyPoolIsNotNegotiated) {
-  AdmissionController ac(cluster_, 1.0, 1.25, 6);
+  AdmissionController ac(cluster_, 1.0);
   // x86 (~72 % of machines): plenty of room, no reason to pay the penalty.
   auto job = MakeJob(
       ConstraintSet({{Attr::kArch, ConstraintOp::kEqual, 0, false}}));
@@ -208,7 +209,8 @@ TEST_F(AdmissionTest, RoomyPoolIsNotNegotiated) {
 }
 
 TEST_F(AdmissionTest, RespectsRelaxationCap) {
-  AdmissionController ac(cluster_, 1.0, 1.25, 1);
+  static_assert(sched::SchedulerConfig::phoenix_max_relaxations == 1);
+  AdmissionController ac(cluster_, 1.0);
   auto job = MakeJob(ConstraintSet(
       {{Attr::kEthernetSpeed, ConstraintOp::kGreater, 10, false},
        {Attr::kNumCores, ConstraintOp::kGreater, 16, false}}));
@@ -222,7 +224,7 @@ TEST_F(AdmissionTest, RespectsRelaxationCap) {
 }
 
 TEST_F(AdmissionTest, RequiresMaterialPoolWidening) {
-  AdmissionController ac(cluster_, 1.0, 1.25, 6);
+  AdmissionController ac(cluster_, 1.0);
   // Two soft constraints on the same scarce pool shape: dropping just one of
   // a pair that is individually common widens little. Build a case where
   // the remaining constraint still pins the pool: cores > 16 (scarce) and
