@@ -6,7 +6,9 @@
 //   * slack / starvation threshold (paper: 5, §V-A);
 //   * CRV threshold (Algorithm 1's trigger).
 // Each sweep reports short-job p50/p99 and the relevant counters.
+#include <cctype>
 #include <cstdio>
+#include <string>
 
 #include "bench/common.h"
 
@@ -14,9 +16,26 @@ using namespace phoenix;
 
 namespace {
 
+// "probe ratio 2" -> "probe-ratio-2": a row label as a file tag.
+std::string FileTag(const std::string& label) {
+  std::string tag;
+  for (const char c : label) {
+    if (std::isalnum(static_cast<unsigned char>(c)) || c == '.') {
+      tag += c;
+    } else if (!tag.empty() && tag.back() != '-') {
+      tag += '-';
+    }
+  }
+  if (!tag.empty() && tag.back() == '-') tag.pop_back();
+  return tag;
+}
+
+// One ablation cell: `options` with its observability files tagged by the
+// row label, so every cell writes its own file set.
 void Report(util::TextTable& table, const std::string& label,
             const trace::Trace& trace, const cluster::Cluster& cluster,
-            const runner::RunOptions& options) {
+            runner::RunOptions options) {
+  options.obs = runner::SuffixedObs(options.obs, FileTag(label));
   const auto report = runner::RunSimulation(trace, cluster, options);
   const auto s = report.ResponseSummary(metrics::ClassFilter::kShort,
                                         metrics::ConstraintFilter::kAll);
@@ -41,9 +60,9 @@ int main(int argc, char** argv) {
 
   const auto trace = bench::MakeTrace("google", o);
   const auto cluster = bench::MakeCluster(o.nodes, o.seed);
-  runner::RunOptions base;
-  base.scheduler = "phoenix";
-  base.config.seed = o.seed;
+  // Every variant starts from the common flags and overrides only what it
+  // sweeps.
+  const runner::RunOptions base = bench::CellOptions(o, "phoenix");
 
   {
     std::printf("--- feature ablation ---\n");

@@ -51,10 +51,11 @@ int main(int argc, char** argv) {
       const auto trace = trace::GenerateTrace("google", gen);
       const auto cluster = bench::MakeCluster(o.nodes, o.seed);
       for (const std::string sched : {"phoenix", "eagle-c"}) {
-        runner::RunOptions ro;
-        ro.scheduler = sched;
-        ro.config.seed = o.seed;
-        const auto report = runner::RunSimulation(trace, cluster, ro);
+        const auto report = runner::RunSimulation(
+            trace, cluster,
+            bench::CellOptions(
+                o, sched,
+                util::StrFormat("%s-affinity%.0f", sched.c_str(), 100 * frac)));
         t.AddRow({sched, util::StrFormat("%.0f%%", 100 * frac),
                   util::HumanDuration(
                       ByPlacement(report, trace::PlacementPref::kNone).p99),
@@ -82,9 +83,8 @@ int main(int argc, char** argv) {
                        "short p99", "long p99", "Jain (all)"});
     for (const double mtbf : {0.0, 20000.0, 5000.0, 1500.0}) {
       for (const std::string sched : {"phoenix", "eagle-c"}) {
-        runner::RunOptions ro;
-        ro.scheduler = sched;
-        ro.config.seed = o.seed;
+        runner::RunOptions ro = bench::CellOptions(
+            o, sched, util::StrFormat("%s-mtbf%.0f", sched.c_str(), mtbf));
         ro.config.machine_mtbf = mtbf;
         ro.config.machine_mttr = 300.0;
         const auto report = runner::RunSimulation(trace, cluster, ro);

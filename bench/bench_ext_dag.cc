@@ -119,7 +119,9 @@ int main(int argc, char** argv) {
         po.workflow.deadline = deadline;
         if (po.workflow.dag) po.dag_shape = shape;
         const auto trace = bench::MakeTrace("google", po);
-        const auto runs = bench::Run(sched, trace, cluster, po);
+        const auto runs =
+            bench::Run(sched, trace, cluster, po,
+                       sched + "-" + shape + (deadline ? "-deadline" : ""));
         Cell c;
         c.scheduler = sched;
         c.shape = shape;

@@ -146,12 +146,10 @@ int main(int argc, char** argv) {
       trace::ApplyLoadShape(shape, gen);
       const auto trace = trace::GenerateTrace(shape.name, gen);
       for (const double rate : reclaim_rates) {
-        runner::RunOptions ro;
-        ro.scheduler = sched;
-        ro.config.seed = o.seed;
-        ro.config.net = o.net;
-        ro.config.rpc = o.rpc;
-        ro.obs = o.obs;
+        runner::RunOptions ro = bench::CellOptions(
+            o, sched,
+            sched + "-" + shape.name + "-reclaim" +
+                (rate > 0 ? util::StrFormat("%.0f", 1.0 / rate) : "off"));
         ro.elastic.enabled = true;
         ro.elastic.base_machines = o.nodes;
         ro.elastic.reserve_machines = reserve;

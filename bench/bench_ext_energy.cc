@@ -187,13 +187,9 @@ int main(int argc, char** argv) {
       }
       const auto trace = trace::GenerateTrace(shape.name, gen);
       for (const std::string& policy : policies) {
-        runner::RunOptions ro;
-        ro.scheduler = sched;
-        ro.config.seed = o.seed;
-        ro.config.net = o.net;
-        ro.config.rpc = o.rpc;
+        runner::RunOptions ro = bench::CellOptions(
+            o, sched, sched + "-" + shape.name + "-" + policy);
         if (sla_mix != "off") ro.config.tenancy = MakeSlaTenants();
-        ro.obs = o.obs;
         ro.power = MakePower(policy, o.power);
         const runner::RepeatedRuns runs(trace, cluster, ro, o.runs);
         Cell c;

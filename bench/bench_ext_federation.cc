@@ -63,13 +63,10 @@ int main(int argc, char** argv) {
         if (shards == 1 && (period != gossip_periods.front() || chaos)) {
           continue;
         }
-        runner::RunOptions ro;
-        ro.scheduler = "phoenix";
-        ro.config.seed = o.seed;
-        ro.config.net = o.net;
-        ro.config.rpc = o.rpc;
-        ro.obs = o.obs;
-        ro.federation = o.federation;
+        runner::RunOptions ro = bench::CellOptions(
+            o, "phoenix",
+            util::StrFormat("shards%u-gossip%g%s", shards, period,
+                            chaos ? "-chaos" : ""));
         ro.federation.shards = shards;
         ro.federation.gossip_period = period;
         if (chaos) {

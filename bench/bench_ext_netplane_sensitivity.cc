@@ -65,11 +65,10 @@ int main(int argc, char** argv) {
     double baseline = 0;
     for (const double latency : latencies) {
       for (const double drop : drops) {
-        runner::RunOptions ro;
-        ro.scheduler = sched;
-        ro.config.seed = o.seed;
-        ro.config.net = o.net;
-        ro.config.rpc = o.rpc;
+        runner::RunOptions ro = bench::CellOptions(
+            o, sched,
+            util::StrFormat("%s-lat%gms-drop%g", sched.c_str(),
+                            latency / sim::kMillisecond, drop));
         ro.config.net.one_way = latency;
         ro.config.net.drop_rate = drop;
         // Latency spread only matters once chaos is on; keep the ideal cell

@@ -95,13 +95,10 @@ int main(int argc, char** argv) {
       gen.tenant_weights = mix.weights;
       const auto trace = trace::GenerateTrace(mix.name, gen);
       for (const bool preemption : {false, true}) {
-        runner::RunOptions ro;
-        ro.scheduler = sched;
-        ro.config.seed = o.seed;
-        ro.config.net = o.net;
-        ro.config.rpc = o.rpc;
+        runner::RunOptions ro = bench::CellOptions(
+            o, sched,
+            sched + "-" + mix.name + (preemption ? "-preempt" : ""));
         ro.config.tenancy = MakeTenants(preemption, slo_target);
-        ro.obs = o.obs;
         const runner::RepeatedRuns runs(trace, cluster, ro, o.runs);
         Cell c;
         c.scheduler = sched;

@@ -30,12 +30,14 @@ void PrintTraceCdf(const std::string& profile, const bench::BenchOptions& o) {
 
   std::map<std::string, std::vector<double>> delays;
   for (const std::string sched : {"hawk-c", "eagle-c", "yacc-d"}) {
-    const auto runs = bench::Run(sched, constrained, cluster, opts);
+    const auto runs =
+        bench::Run(sched, constrained, cluster, opts, profile + "-" + sched);
     delays[sched] = runs.reports()[0].QueuingDelays(
         metrics::ClassFilter::kAll, metrics::ConstraintFilter::kAll);
   }
   {
-    const auto runs = bench::Run("eagle-c", baseline, cluster, opts);
+    const auto runs =
+        bench::Run("eagle-c", baseline, cluster, opts, profile + "-baseline");
     delays["baseline"] = runs.reports()[0].QueuingDelays(
         metrics::ClassFilter::kAll, metrics::ConstraintFilter::kAll);
   }

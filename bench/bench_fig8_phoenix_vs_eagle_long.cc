@@ -28,10 +28,9 @@ int main(int argc, char** argv) {
     util::TextTable t({"scheduler", "Jain all", "Jain short", "Jain long",
                        "uncon/con slowdown"});
     for (const std::string sched : {"phoenix", "eagle-c"}) {
-      runner::RunOptions ro;
-      ro.scheduler = sched;
-      ro.config.seed = o.seed;
-      const auto report = runner::RunSimulation(trace, cluster, ro);
+      const auto report = runner::RunSimulation(
+          trace, cluster,
+          bench::CellOptions(o, sched, "google-" + sched + "-fairness"));
       const auto f = metrics::ComputeFairness(report, trace);
       t.AddRow({sched, util::StrFormat("%.3f", f.jain_all),
                 util::StrFormat("%.3f", f.jain_short),

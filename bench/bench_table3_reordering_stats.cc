@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     }
     const auto trace = bench::MakeTrace(profile, opts);
     const auto cluster = bench::MakeCluster(opts.nodes, opts.seed);
-    const auto runs = bench::Run("phoenix", trace, cluster, opts);
+    const auto runs = bench::Run("phoenix", trace, cluster, opts, profile);
     const auto& report = runs.reports()[0];
     const auto stats = trace.ComputeStats();
     const auto reordered = report.counters.tasks_reordered_crv;

@@ -15,7 +15,9 @@
 //   --trace-jsonl=F  newline-delimited JSON event stream
 //   --timeseries=F   per-heartbeat worker TSV (+ F.crv for Phoenix runs)
 //   --audit          run the invariant auditor; abort on any violation
-// Multi-seed runs suffix each output file with ".seed<N>".
+// A bench running more than one cell writes one file set per cell, tagged
+// before the extension ("t.jsonl" -> "t.phoenix-n40.jsonl"); multi-seed
+// runs add ".seed<N>".
 //
 // Control-plane fabric (see EXPERIMENTS.md "The network fabric"):
 //   --net-model=M    constant | uniform | lognormal | empirical
@@ -79,6 +81,7 @@
 // utilization axis) while finishing in seconds on one core.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -139,19 +142,34 @@ struct BenchOptions {
   std::string trace_google;
 };
 
-/// Parses the common flags; exits(1) on bad input. `extra` names additional
-/// flags the caller already consumed from the same Flags object.
+/// Parses the common flags. Bad input is a usage error, never an abort deep
+/// in a constructor: every problem is collected, each naming its flag, and
+/// the parse exits 1 once listing all of them (the constructors keep their
+/// checks as internal asserts that a parsed config never trips).
 inline BenchOptions ParseBenchOptions(util::Flags& flags,
                                       std::size_t default_nodes = 300,
                                       std::size_t default_runs = 1) {
+  std::vector<std::string> problems;
+  const auto require = [&problems](bool ok, std::string problem) {
+    if (!ok) problems.push_back(std::move(problem));
+  };
   BenchOptions o;
   o.paper = flags.GetBool("paper", false);
-  o.nodes = static_cast<std::size_t>(
-      flags.GetInt("nodes", static_cast<std::int64_t>(default_nodes)));
+  const std::int64_t nodes =
+      flags.GetInt("nodes", static_cast<std::int64_t>(default_nodes));
+  require(nodes >= 1, util::StrFormat("--nodes must be >= 1 (got %lld)",
+                                      static_cast<long long>(nodes)));
+  o.nodes = static_cast<std::size_t>(std::max<std::int64_t>(nodes, 1));
   if (o.paper && !flags.Provided("nodes")) o.nodes = 15000;
-  o.jobs = static_cast<std::size_t>(
-      flags.GetInt("jobs", static_cast<std::int64_t>(50 * o.nodes)));
+  const std::int64_t jobs =
+      flags.GetInt("jobs", static_cast<std::int64_t>(50 * o.nodes));
+  require(jobs >= 1, util::StrFormat("--jobs must be >= 1 (got %lld)",
+                                     static_cast<long long>(jobs)));
+  o.jobs = static_cast<std::size_t>(std::max<std::int64_t>(jobs, 1));
   o.load = flags.GetDouble("load", 0.85);
+  // The trace generator calibrates arrivals to this offered load.
+  require(o.load > 0 && o.load < 1.5,
+          util::StrFormat("--load must be in (0, 1.5) (got %g)", o.load));
   o.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   o.runs = static_cast<std::size_t>(
       flags.GetInt("runs", static_cast<std::int64_t>(default_runs)));
@@ -171,11 +189,8 @@ inline BenchOptions ParseBenchOptions(util::Flags& flags,
   } else if (model == "empirical") {
     o.net.model = net::LatencyModel::kEmpirical;
   } else {
-    std::fprintf(stderr,
-                 "--net-model must be constant|uniform|lognormal|empirical "
-                 "(got \"%s\")\n",
-                 model.c_str());
-    std::exit(1);
+    require(false, "--net-model must be constant|uniform|lognormal|empirical "
+                   "(got \"" + model + "\")");
   }
   o.net.one_way = flags.GetDouble("net-latency", o.net.one_way);
   o.net.jitter = flags.GetDouble("net-jitter", o.net.jitter);
@@ -189,39 +204,26 @@ inline BenchOptions ParseBenchOptions(util::Flags& flags,
   o.rpc.max_retries = static_cast<std::size_t>(flags.GetInt(
       "rpc-retries", static_cast<std::int64_t>(o.rpc.max_retries)));
   o.rpc.backoff = flags.GetDouble("rpc-backoff", o.rpc.backoff);
+  for (const auto& [name, value] :
+       {std::pair{"--net-drop", o.net.drop_rate},
+        std::pair{"--net-dup", o.net.duplicate_rate},
+        std::pair{"--net-reorder", o.net.reorder_rate},
+        std::pair{"--net-jitter", o.net.jitter}}) {
+    require(value >= 0 && value < 1,
+            util::StrFormat("%s must be in [0, 1) (got %g)", name, value));
+  }
+  require(o.net.one_way > 0, "--net-latency must be positive");
+  require(o.rpc.timeout > 0, "--rpc-timeout must be positive");
+  require(o.rpc.backoff >= 1.0, "--rpc-backoff must be >= 1");
   o.federation.shards = static_cast<std::uint32_t>(flags.GetInt(
       "shards", static_cast<std::int64_t>(o.federation.shards)));
   o.federation.gossip_period =
       flags.GetDouble("gossip-period", o.federation.gossip_period);
   o.federation.staleness_bound =
       flags.GetDouble("stale-bound", o.federation.staleness_bound);
-  // The fabric asserts these ranges too; checking them here makes a bad
-  // value a usage error that names each flag instead of an abort.
-  bool bad_rate = false;
-  for (const auto& [name, value] :
-       {std::pair{"--net-drop", o.net.drop_rate},
-        std::pair{"--net-dup", o.net.duplicate_rate},
-        std::pair{"--net-reorder", o.net.reorder_rate},
-        std::pair{"--net-jitter", o.net.jitter}}) {
-    if (!(value >= 0 && value < 1)) {
-      std::fprintf(stderr, "%s must be in [0, 1) (got %g)\n", name, value);
-      bad_rate = true;
-    }
-  }
-  if (bad_rate) std::exit(1);
-  if (o.net.one_way <= 0 || o.rpc.timeout <= 0 || o.rpc.backoff < 1.0) {
-    std::fprintf(stderr,
-                 "--net-latency and --rpc-timeout must be positive; "
-                 "--rpc-backoff must be >= 1\n");
-    std::exit(1);
-  }
-  if (o.federation.shards == 0 || o.federation.gossip_period <= 0 ||
-      o.federation.staleness_bound <= 0) {
-    std::fprintf(stderr,
-                 "--shards must be >= 1; --gossip-period and --stale-bound "
-                 "must be positive\n");
-    std::exit(1);
-  }
+  require(o.federation.shards >= 1, "--shards must be >= 1");
+  require(o.federation.gossip_period > 0, "--gossip-period must be positive");
+  require(o.federation.staleness_bound > 0, "--stale-bound must be positive");
   o.power.enabled = flags.GetBool("power", false);
   const std::string power_policy = flags.GetString("power-policy", "all");
   if (power_policy == "meter") {
@@ -231,11 +233,10 @@ inline BenchOptions ParseBenchOptions(util::Flags& flags,
     o.power.policy.park = false;
   } else if (power_policy == "park") {
     o.power.policy.dvfs = false;
-  } else if (power_policy != "all") {
-    std::fprintf(stderr,
-                 "--power-policy must be meter|dvfs|park|all (got \"%s\")\n",
-                 power_policy.c_str());
-    std::exit(1);
+  } else {
+    require(power_policy == "all",
+            "--power-policy must be meter|dvfs|park|all (got \"" +
+                power_policy + "\")");
   }
   o.power.policy.park_idle_after =
       flags.GetDouble("power-park-idle", o.power.policy.park_idle_after);
@@ -247,18 +248,17 @@ inline BenchOptions ParseBenchOptions(util::Flags& flags,
       flags.GetDouble("power-wake-factor", o.power.policy.wake_wait_factor);
   o.power.policy.parked_supply_weight = flags.GetDouble(
       "power-parked-weight", o.power.policy.parked_supply_weight);
-  if (o.power.policy.park_idle_after < 0 ||
-      o.power.policy.min_active_fraction < 0 ||
-      o.power.policy.min_active_fraction > 1 ||
-      o.power.policy.target_wait <= 0 ||
-      o.power.policy.wake_wait_factor <= 0 ||
-      o.power.policy.parked_supply_weight < 0) {
-    std::fprintf(stderr,
-                 "--power-park-idle and --power-parked-weight must be >= 0; "
-                 "--power-min-active must be in [0,1]; --power-target-wait "
-                 "and --power-wake-factor must be positive\n");
-    std::exit(1);
-  }
+  require(o.power.policy.park_idle_after >= 0,
+          "--power-park-idle must be >= 0");
+  require(o.power.policy.min_active_fraction >= 0 &&
+              o.power.policy.min_active_fraction <= 1,
+          "--power-min-active must be in [0,1]");
+  require(o.power.policy.target_wait > 0,
+          "--power-target-wait must be positive");
+  require(o.power.policy.wake_wait_factor > 0,
+          "--power-wake-factor must be positive");
+  require(o.power.policy.parked_supply_weight >= 0,
+          "--power-parked-weight must be >= 0");
   o.packing.enabled = flags.GetBool("packing", false);
   o.packing.gang_fraction =
       flags.GetDouble("gang-fraction", o.packing.gang_fraction);
@@ -269,41 +269,38 @@ inline BenchOptions ParseBenchOptions(util::Flags& flags,
       flags.GetDouble("malleable-fraction", o.packing.malleable_fraction);
   o.packing.malleable_min_frac =
       flags.GetDouble("malleable-min-frac", o.packing.malleable_min_frac);
-  if (o.packing.gang_fraction < 0 || o.packing.malleable_fraction < 0 ||
-      o.packing.gang_fraction + o.packing.malleable_fraction > 1.0 ||
-      o.packing.malleable_min_frac < 0 ||
-      o.packing.malleable_min_frac > 1.0 || o.packing.gang_hold <= 0 ||
-      o.packing.frag_weight < 0) {
-    std::fprintf(stderr,
-                 "--gang-fraction and --malleable-fraction must be >= 0 and "
-                 "sum to <= 1; --malleable-min-frac must be in [0,1]; "
-                 "--gang-hold must be positive; --frag-weight must be "
-                 ">= 0\n");
-    std::exit(1);
-  }
+  require(o.packing.gang_fraction >= 0 && o.packing.malleable_fraction >= 0 &&
+              o.packing.gang_fraction + o.packing.malleable_fraction <= 1.0,
+          "--gang-fraction and --malleable-fraction must be >= 0 and sum "
+          "to <= 1");
+  require(o.packing.malleable_min_frac >= 0 &&
+              o.packing.malleable_min_frac <= 1.0,
+          "--malleable-min-frac must be in [0,1]");
+  require(o.packing.gang_hold > 0, "--gang-hold must be positive");
+  require(o.packing.frag_weight >= 0, "--frag-weight must be >= 0");
+  require(!o.packing.enabled || o.federation.shards <= 1,
+          "--packing cannot be combined with --shards > 1 (gossiped free-slot "
+          "digests do not carry capacity vectors)");
   o.workflow.dag = flags.GetBool("dag", false);
   o.workflow.deadline = flags.GetBool("deadline", false);
   o.dag_shape = flags.GetString("dag-shape", o.dag_shape);
   o.dag_fraction = flags.GetDouble("dag-fraction", o.dag_fraction);
   o.shape = flags.GetString("shape", "");
   o.trace_google = flags.GetString("trace-google", "");
-  if (!workflow::KnownDagShape(o.dag_shape)) {
-    std::fprintf(stderr, "--dag-shape must be chain|fanout|diamond (got \"%s\")\n",
-                 o.dag_shape.c_str());
-    std::exit(1);
-  }
-  if (o.dag_fraction < 0 || o.dag_fraction > 1.0) {
-    std::fprintf(stderr, "--dag-fraction must be in [0,1]\n");
-    std::exit(1);
-  }
+  require(workflow::KnownDagShape(o.dag_shape),
+          "--dag-shape must be chain|fanout|diamond (got \"" + o.dag_shape +
+              "\")");
+  require(o.dag_fraction >= 0 && o.dag_fraction <= 1.0,
+          "--dag-fraction must be in [0,1]");
   // Unknown shapes are a usage error, not a silent steady fallback (and not
   // an abort: the nullable lookup exists exactly for CLI input).
-  if (!o.shape.empty() && trace::FindShapeByName(o.shape) == nullptr) {
-    std::fprintf(stderr,
-                 "--shape must be steady|diurnal|flash-crowd (got \"%s\")\n",
-                 o.shape.c_str());
-    std::exit(1);
+  require(o.shape.empty() || trace::FindShapeByName(o.shape) != nullptr,
+          "--shape must be steady|diurnal|flash-crowd (got \"" + o.shape +
+              "\")");
+  for (const std::string& problem : problems) {
+    std::fprintf(stderr, "%s\n", problem.c_str());
   }
+  if (!problems.empty()) std::exit(1);
   // After every flag above is declared, `--help` can print the complete
   // auto-generated listing and an unknown flag dies with that same usage.
   // Callers declaring extra flags before calling ParseBenchOptions get them
@@ -354,22 +351,35 @@ inline cluster::Cluster MakeCluster(std::size_t nodes, std::uint64_t seed) {
   return cluster::BuildCluster({.num_machines = nodes, .seed = seed});
 }
 
-/// Multi-seed run of one scheduler over a fixed trace/cluster.
-inline runner::RepeatedRuns Run(const std::string& scheduler,
-                                const trace::Trace& t,
-                                const cluster::Cluster& cl,
-                                const BenchOptions& o) {
+/// The common flags as the run options of one bench cell. A bench running
+/// more than one cell names each: the cell's observability files then carry
+/// the name (runner::SuffixedObs), so no cell writes over another's. An
+/// empty name, for a one-cell run, keeps the plain paths, as RepeatedRuns
+/// does for one seed.
+inline runner::RunOptions CellOptions(const BenchOptions& o,
+                                      const std::string& scheduler,
+                                      const std::string& cell = "") {
   runner::RunOptions ro;
   ro.scheduler = scheduler;
   ro.config.seed = o.seed;
   ro.config.net = o.net;
   ro.config.rpc = o.rpc;
-  ro.obs = o.obs;
+  ro.obs = cell.empty() ? o.obs : runner::SuffixedObs(o.obs, cell);
   ro.federation = o.federation;
   ro.power = o.power;
   ro.config.packing = o.packing;
   ro.config.workflow = o.workflow;
-  return runner::RepeatedRuns(t, cl, ro, o.runs);
+  return ro;
+}
+
+/// Multi-seed run of one scheduler over a fixed trace/cluster, as the cell
+/// `cell` (see CellOptions).
+inline runner::RepeatedRuns Run(const std::string& scheduler,
+                                const trace::Trace& t,
+                                const cluster::Cluster& cl,
+                                const BenchOptions& o,
+                                const std::string& cell = "") {
+  return runner::RepeatedRuns(t, cl, CellOptions(o, scheduler, cell), o.runs);
 }
 
 /// Equivalent paper-scale node count for a sweep multiplier (the paper

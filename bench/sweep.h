@@ -67,11 +67,9 @@ inline void RunNormalizedSweep(const std::string& profile,
     const auto& scheduler = (i % 2 == 0) ? treatment : baseline;
     // Cells run concurrently, so each writes its own observability files:
     // "trace.json" -> "trace.google-phoenix-x1.15.json".
-    auto cell_opts = opts;
-    cell_opts.obs = runner::SuffixedObs(
-        opts.obs, profile + "-" + scheduler + "-x" +
-                      util::StrFormat("%g", mults[i / 2]));
-    cells[i].emplace(Run(scheduler, trace, clusters[i / 2], cell_opts));
+    cells[i].emplace(Run(scheduler, trace, clusters[i / 2], opts,
+                         profile + "-" + scheduler + "-x" +
+                             util::StrFormat("%g", mults[i / 2])));
   });
 
   // Join done: emit the table and TSV serially, in grid order.

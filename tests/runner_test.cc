@@ -1,6 +1,9 @@
 // Unit tests for the experiment runner and scheduler registry.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "cluster/builder.h"
 #include "runner/experiment.h"
 #include "runner/registry.h"
@@ -102,6 +105,27 @@ TEST(RepeatedRuns, UtilizationAveraged) {
   const RepeatedRuns runs(t, cl, o, 2);
   EXPECT_GT(runs.MeanUtilization(), 0.0);
   EXPECT_LE(runs.MeanUtilization(), 1.0);
+}
+
+TEST(AggregateCounters, SumsEveryField) {
+  // Walks SchedulerCounters' 8-byte words instead of naming fields, so a
+  // counter added to the struct but not to the aggregation fails here. A
+  // word set to 1 in two reports must be non-zero in their sum (the bit
+  // pattern of a double field is a denormal, which sums non-zero too).
+  constexpr std::size_t kWords = sizeof(metrics::SchedulerCounters) / 8;
+  static_assert(sizeof(metrics::SchedulerCounters) % 8 == 0);
+  for (std::size_t i = 0; i < kWords; ++i) {
+    std::vector<metrics::SimReport> reports(2);
+    for (metrics::SimReport& r : reports) {
+      std::uint64_t words[kWords] = {};
+      words[i] = 1;
+      std::memcpy(&r.counters, words, sizeof words);
+    }
+    const metrics::SchedulerCounters sum = AggregateCounters(reports);
+    std::uint64_t words[kWords];
+    std::memcpy(words, &sum, sizeof words);
+    EXPECT_NE(words[i], 0u) << "counter word " << i << " is not aggregated";
+  }
 }
 
 }  // namespace
