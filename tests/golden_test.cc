@@ -63,12 +63,29 @@ void Tenants(Setup& s) {
 
 void Packing(Setup& s) { s.run.config.packing.enabled = true; }
 
+void ChaosAudit(Setup& s) {
+  Chaos(s);
+  s.run.obs.audit = true;
+}
+
 // Machine failures (MTBF 20,000 s, MTTR 300 s), 5% chaos and the auditor.
 void FailuresChaosAudit(Setup& s) {
   s.run.config.machine_mtbf = 20000;
   s.run.config.machine_mttr = 300;
-  Chaos(s);
-  s.run.obs.audit = true;
+  ChaosAudit(s);
+}
+
+void ElasticChurn(Setup& s) {
+  elastic::ElasticConfig& e = s.run.elastic;
+  e.enabled = true;
+  e.base_machines = 60;
+  e.reserve_machines = 25;
+  e.transient_machines = 15;
+  e.transient_target = 15;
+  e.warmup_delay = 20.0;
+  e.drain_grace = 30.0;
+  e.reclaim_rate = 1.0 / 300.0;
+  e.reclaim_grace = 10.0;
 }
 
 void GangMalleable(Setup& s) {
@@ -97,19 +114,7 @@ const FeatureSet kFeatureSets[] = {
     {"tenants-preemption", Tenants},
     {"power-all", [](Setup& s) { s.run.power.enabled = true; }},
     {"dag-deadline", DagDeadline},
-    {"elastic-churn",
-     [](Setup& s) {
-       elastic::ElasticConfig& e = s.run.elastic;
-       e.enabled = true;
-       e.base_machines = 60;
-       e.reserve_machines = 25;
-       e.transient_machines = 15;
-       e.transient_target = 15;
-       e.warmup_delay = 20.0;
-       e.drain_grace = 30.0;
-       e.reclaim_rate = 1.0 / 300.0;
-       e.reclaim_grace = 10.0;
-     }},
+    {"elastic-churn", ElasticChurn},
     {"shards2-chaos",
      [](Setup& s) {
        s.run.federation.shards = 2;
@@ -150,6 +155,17 @@ const FeatureSet kFeatureSets[] = {
      [](Setup& s) {
        Tenants(s);
        FailuresChaosAudit(s);
+     }},
+    // The power and elastic controllers under 5% chaos, with the auditor.
+    {"power-all-chaos-audit",
+     [](Setup& s) {
+       s.run.power.enabled = true;
+       ChaosAudit(s);
+     }},
+    {"elastic-churn-chaos-audit",
+     [](Setup& s) {
+       ElasticChurn(s);
+       ChaosAudit(s);
      }},
 };
 
