@@ -19,8 +19,10 @@ using namespace phoenix;
 
 namespace {
 
-// "1000,15000,100000" -> {1000, 15000, 100000}.
-std::vector<std::size_t> ParseScales(const std::string& spec) {
+// "1000,15000,100000" -> {1000, 15000, 100000}. Every fleet must hold at
+// least one machine per shard.
+std::vector<std::size_t> ParseScales(const std::string& spec,
+                                     std::size_t shards) {
   std::vector<std::size_t> scales;
   std::size_t pos = 0;
   while (pos < spec.size()) {
@@ -33,6 +35,11 @@ std::vector<std::size_t> ParseScales(const std::string& spec) {
       if (v <= 0) {
         std::fprintf(stderr, "--scales expects positive integers, got '%s'\n",
                      tok.c_str());
+        std::exit(1);
+      }
+      if (static_cast<std::size_t>(v) < shards) {
+        std::fprintf(stderr, "--scales entry %ld is below --shards=%zu\n", v,
+                     shards);
         std::exit(1);
       }
       scales.push_back(static_cast<std::size_t>(v));
@@ -87,7 +94,8 @@ int main(int argc, char** argv) {
   }
   const std::vector<std::size_t> scales =
       ParseScales(o.paper && !flags.Provided("scales") ? "1000,15000,100000"
-                                                       : scales_spec);
+                                                       : scales_spec,
+                  o.federation.shards);
   const std::vector<std::string> schedulers = ParseSchedulers(sched_spec);
   // Throughput cells time a single-threaded engine drain; overlapping runs
   // would contend for cores and corrupt the wall-clock numbers.

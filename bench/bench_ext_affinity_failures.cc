@@ -32,7 +32,7 @@ metrics::PercentileSummary ByPlacement(const metrics::SimReport& report,
 int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
-  const auto o = bench::ParseBenchOptions(flags, 300, 1);
+  const auto o = bench::ParseBenchOptions(flags, 300, 1, {"trace-google"});
   bench::PrintHeader("Extensions: affinity placement + failure injection", o,
                      "paper §III-A (affinity), fault-tolerance motivation");
 
@@ -41,14 +41,11 @@ int main(int argc, char** argv) {
     util::TextTable t({"scheduler", "affinity mix", "none p99", "spread p99",
                        "colocate p99", "spread viol", "colo misses"});
     for (const double frac : {0.15, 0.30}) {
-      auto gen = trace::GoogleProfile();
-      gen.num_jobs = o.jobs;
-      gen.num_workers = o.nodes;
-      gen.target_load = o.load;
-      gen.seed = o.seed;
-      gen.spread_fraction = frac;
-      gen.colocate_fraction = frac;
-      const auto trace = trace::GenerateTrace("google", gen);
+      const auto trace =
+          bench::MakeTrace("google", o, [&](trace::GeneratorOptions& gen) {
+            gen.spread_fraction = frac;
+            gen.colocate_fraction = frac;
+          });
       const auto cluster = bench::MakeCluster(o.nodes, o.seed);
       for (const std::string sched : {"phoenix", "eagle-c"}) {
         const auto report = runner::RunSimulation(

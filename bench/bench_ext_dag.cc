@@ -55,12 +55,8 @@ bench::JsonEmitter MakeEmitter(const bench::BenchOptions& o,
     cell.Add("scheduler", c.scheduler)
         .Add("dag_shape", c.shape)
         .Add("deadline", c.deadline)
-        .Add("short_p90_queuing_s", c.short_p90)
-        .AddInt("dag_jobs", c.counters.dag_jobs)
-        .AddInt("dag_tasks_released", c.counters.dag_tasks_released)
-        .AddInt("deadline_jobs", c.counters.deadline_jobs)
-        .AddInt("deadline_misses", c.counters.deadline_misses)
-        .AddInt("deadline_promotions", c.counters.deadline_promotions)
+        .Add("short_p90_queuing_s", c.short_p90);
+    bench::AddCounters(cell, c.counters, metrics::CounterGroup::kWorkflow)
         .Add("attain_prod", c.attain[0])
         .Add("attain_batch", c.attain[1])
         .Add("attain_best_effort", c.attain[2]);

@@ -34,13 +34,7 @@ struct Cell {
   double reclaim_rate = 0;
   double short_p90 = 0;
   double utilization = 0;
-  std::uint64_t commissions = 0;
-  std::uint64_t drains = 0;
-  std::uint64_t reclamations = 0;
-  std::uint64_t forced_retires = 0;
-  std::uint64_t redispatched = 0;
-  std::uint64_t crv_shaped = 0;
-  double wasted_warmup = 0;
+  metrics::SchedulerCounters counters;
   std::uint64_t events = 0;
   double wall = 0;
 };
@@ -68,13 +62,13 @@ bench::JsonEmitter MakeEmitter(const bench::BenchOptions& o,
         .Add("reclaim_rate_per_s", c.reclaim_rate)
         .Add("short_p90_queuing_s", c.short_p90)
         .Add("utilization", c.utilization)
-        .AddInt("commissions", c.commissions)
-        .AddInt("drains", c.drains)
-        .AddInt("reclamations", c.reclamations)
-        .AddInt("forced_retires", c.forced_retires)
-        .AddInt("tasks_redispatched", c.redispatched)
-        .AddInt("crv_shaped_picks", c.crv_shaped)
-        .Add("wasted_warmup_s", c.wasted_warmup);
+        .AddInt("commissions", c.counters.elastic_commissions)
+        .AddInt("drains", c.counters.elastic_drains)
+        .AddInt("reclamations", c.counters.elastic_reclamations)
+        .AddInt("forced_retires", c.counters.elastic_retires_forced)
+        .AddInt("tasks_redispatched", c.counters.elastic_tasks_redispatched)
+        .AddInt("crv_shaped_picks", c.counters.elastic_crv_shaped_picks)
+        .Add("wasted_warmup_s", c.counters.elastic_wasted_warmup_seconds);
     bench::AddThroughput(cell, c.events, c.wall);
   }
   return emitter;
@@ -95,7 +89,7 @@ int main(int argc, char** argv) {
   const double grace = flags.GetDouble("drain-grace", 60.0);
   const double reclaim_grace = flags.GetDouble("reclaim-grace", 15.0);
   const double target_wait = flags.GetDouble("target-wait", 5.0);
-  auto o = bench::ParseBenchOptions(flags, 120, 2);
+  auto o = bench::ParseBenchOptions(flags, 120, 2, {"trace-google", "shape"});
   if (reserve == 0) reserve = o.nodes / 2;
   if (transient == 0) transient = o.nodes / 4;
   bench::PrintHeader("Extension: elastic lifecycle under shaped load", o,
@@ -138,13 +132,10 @@ int main(int argc, char** argv) {
                        "commissions", "drains", "reclaims", "forced",
                        "redisp", "crv picks", "wasted warmup"});
     for (const trace::LoadShapePreset& shape : shapes) {
-      auto gen = trace::ProfileByName("google");
-      gen.num_jobs = o.jobs;
-      gen.num_workers = o.nodes;
-      gen.target_load = o.load;
-      gen.seed = o.seed;
-      trace::ApplyLoadShape(shape, gen);
-      const auto trace = trace::GenerateTrace(shape.name, gen);
+      const auto trace =
+          bench::MakeTrace("google", o, [&](trace::GeneratorOptions& gen) {
+            trace::ApplyLoadShape(shape, gen);
+          });
       for (const double rate : reclaim_rates) {
         runner::RunOptions ro = bench::CellOptions(
             o, sched,
@@ -170,38 +161,36 @@ int main(int argc, char** argv) {
         c.reclaim_rate = rate;
         c.short_p90 = p90;
         c.utilization = util;
+        c.counters = runner::AggregateCounters(runs.reports());
         for (const auto& r : runs.reports()) {
-          c.commissions += r.counters.elastic_commissions;
-          c.drains += r.counters.elastic_drains;
-          c.reclamations += r.counters.elastic_reclamations;
-          c.forced_retires += r.counters.elastic_retires_forced;
-          c.redispatched += r.counters.elastic_tasks_redispatched;
-          c.crv_shaped += r.counters.elastic_crv_shaped_picks;
-          c.wasted_warmup += r.counters.elastic_wasted_warmup_seconds;
           c.events += r.events_fired;
           c.wall += r.sim_wall_seconds;
         }
         cells.push_back(c);
-        t.AddRow({shape.name,
-                  rate > 0 ? util::StrFormat("1/%.0fs", 1.0 / rate) : "off",
-                  util::HumanDuration(p90),
-                  util::StrFormat("%.1f%%", 100 * util),
-                  util::WithCommas(static_cast<std::int64_t>(c.commissions)),
-                  util::WithCommas(static_cast<std::int64_t>(c.drains)),
-                  util::WithCommas(static_cast<std::int64_t>(c.reclamations)),
-                  util::WithCommas(
-                      static_cast<std::int64_t>(c.forced_retires)),
-                  util::WithCommas(static_cast<std::int64_t>(c.redispatched)),
-                  util::WithCommas(static_cast<std::int64_t>(c.crv_shaped)),
-                  util::StrFormat("%.0fs", c.wasted_warmup)});
+        const metrics::SchedulerCounters& k = c.counters;
+        t.AddRow(
+            {shape.name,
+             rate > 0 ? util::StrFormat("1/%.0fs", 1.0 / rate) : "off",
+             util::HumanDuration(p90), util::StrFormat("%.1f%%", 100 * util),
+             util::WithCommas(static_cast<std::int64_t>(k.elastic_commissions)),
+             util::WithCommas(static_cast<std::int64_t>(k.elastic_drains)),
+             util::WithCommas(
+                 static_cast<std::int64_t>(k.elastic_reclamations)),
+             util::WithCommas(
+                 static_cast<std::int64_t>(k.elastic_retires_forced)),
+             util::WithCommas(
+                 static_cast<std::int64_t>(k.elastic_tasks_redispatched)),
+             util::WithCommas(
+                 static_cast<std::int64_t>(k.elastic_crv_shaped_picks)),
+             util::StrFormat("%.0fs", k.elastic_wasted_warmup_seconds)});
         if (tsv != nullptr) {
           std::fprintf(
               tsv, "%s\t%s\t%.6f\t%.6f\t%.4f\t%llu\t%llu\t%llu\t%llu\n",
               sched.c_str(), shape.name, rate, p90, util,
-              static_cast<unsigned long long>(c.commissions),
-              static_cast<unsigned long long>(c.drains),
-              static_cast<unsigned long long>(c.reclamations),
-              static_cast<unsigned long long>(c.redispatched));
+              static_cast<unsigned long long>(k.elastic_commissions),
+              static_cast<unsigned long long>(k.elastic_drains),
+              static_cast<unsigned long long>(k.elastic_reclamations),
+              static_cast<unsigned long long>(k.elastic_tasks_redispatched));
         }
       }
     }

@@ -51,10 +51,7 @@ struct Cell {
   std::array<double, 3> class_joules{};
   std::array<std::uint64_t, 3> class_tasks{};
   std::array<double, 3> class_j_per_task{};
-  std::uint64_t parks = 0;
-  std::uint64_t wakes = 0;
-  std::uint64_t dvfs_steps = 0;
-  std::uint64_t park_vetoes = 0;
+  metrics::SchedulerCounters counters;
   std::uint64_t events = 0;
   double wall = 0;
 };
@@ -82,6 +79,10 @@ power::PowerConfig MakePower(const std::string& policy,
   pc.policy.park = policy == "park" || policy == "all";
   pc.policy.dvfs = policy == "dvfs" || policy == "all";
   return pc;
+}
+
+std::uint64_t DvfsSteps(const metrics::SchedulerCounters& k) {
+  return k.power_dvfs_raises + k.power_dvfs_lowers;
 }
 
 bench::JsonEmitter MakeEmitter(const bench::BenchOptions& o,
@@ -117,10 +118,11 @@ bench::JsonEmitter MakeEmitter(const bench::BenchOptions& o,
                                kClassKeys[k]).c_str(),
                c.class_j_per_task[k]);
     }
-    cell.AddInt("parks", c.parks)
-        .AddInt("wakes", c.wakes)
-        .AddInt("dvfs_steps", c.dvfs_steps)
-        .AddInt("park_vetoes", c.park_vetoes);
+    cell.AddInt("parks", c.counters.power_parks)
+        .AddInt("wakes", c.counters.power_wakes)
+        .AddInt("dvfs_steps", DvfsSteps(c.counters))
+        .AddInt("park_vetoes", c.counters.power_park_vetoes_coverage +
+                                   c.counters.power_park_vetoes_floor);
     bench::AddThroughput(cell, c.events, c.wall);
   }
   return emitter;
@@ -133,7 +135,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   const std::string json_path = flags.GetString("json", "");
   const std::string sla_mix = flags.GetString("sla-mix", "balanced");
-  auto o = bench::ParseBenchOptions(flags, 96, 2);
+  auto o = bench::ParseBenchOptions(flags, 96, 2, {"trace-google", "shape"});
   if (sla_mix != "balanced" && sla_mix != "prod-heavy" && sla_mix != "off") {
     std::fprintf(stderr,
                  "--sla-mix must be balanced|prod-heavy|off (got \"%s\")\n",
@@ -174,18 +176,15 @@ int main(int argc, char** argv) {
                        "EDP", "short p90 qdelay", "sleep frac", "parks",
                        "wakes", "dvfs"});
     for (const trace::LoadShapePreset& shape : shapes) {
-      auto gen = trace::ProfileByName("google");
-      gen.num_jobs = o.jobs;
-      gen.num_workers = o.nodes;
-      gen.target_load = o.load;
-      gen.seed = o.seed;
-      trace::ApplyLoadShape(shape, gen);
-      if (sla_mix == "balanced") {
-        gen.tenant_weights = {1.0, 1.0, 1.0};
-      } else if (sla_mix == "prod-heavy") {
-        gen.tenant_weights = {3.0, 1.0, 1.0};
-      }
-      const auto trace = trace::GenerateTrace(shape.name, gen);
+      const auto trace =
+          bench::MakeTrace("google", o, [&](trace::GeneratorOptions& gen) {
+            trace::ApplyLoadShape(shape, gen);
+            if (sla_mix == "balanced") {
+              gen.tenant_weights = {1.0, 1.0, 1.0};
+            } else if (sla_mix == "prod-heavy") {
+              gen.tenant_weights = {3.0, 1.0, 1.0};
+            }
+          });
       for (const std::string& policy : policies) {
         runner::RunOptions ro = bench::CellOptions(
             o, sched, sched + "-" + shape.name + "-" + policy);
@@ -212,12 +211,6 @@ int main(int argc, char** argv) {
                   ? r.sleep_machine_seconds /
                         (static_cast<double>(r.num_workers) * r.makespan)
                   : 0;
-          c.parks += r.counters.power_parks;
-          c.wakes += r.counters.power_wakes;
-          c.dvfs_steps +=
-              r.counters.power_dvfs_raises + r.counters.power_dvfs_lowers;
-          c.park_vetoes += r.counters.power_park_vetoes_coverage +
-                           r.counters.power_park_vetoes_floor;
           c.events += r.events_fired;
           c.wall += r.sim_wall_seconds;
         }
@@ -234,17 +227,21 @@ int main(int argc, char** argv) {
           c.class_joules[k] /= n;
         }
         c.sleep_fraction = sleep_frac_sum / n;
+        c.counters = runner::AggregateCounters(runs.reports());
         const double prod_j_per_task = c.class_j_per_task[0];
         cells.push_back(c);
+        const std::uint64_t parks = c.counters.power_parks;
+        const std::uint64_t wakes = c.counters.power_wakes;
+        const std::uint64_t dvfs_steps = DvfsSteps(c.counters);
         t.AddRow({shape.name, policy, util::StrFormat("%.3g", c.joules),
                   util::StrFormat("%.1f", c.joules_per_task),
                   util::StrFormat("%.1f", prod_j_per_task),
                   util::StrFormat("%.3g", c.edp),
                   util::HumanDuration(c.short_p90),
                   util::StrFormat("%.1f%%", 100 * c.sleep_fraction),
-                  util::WithCommas(static_cast<std::int64_t>(c.parks)),
-                  util::WithCommas(static_cast<std::int64_t>(c.wakes)),
-                  util::WithCommas(static_cast<std::int64_t>(c.dvfs_steps))});
+                  util::WithCommas(static_cast<std::int64_t>(parks)),
+                  util::WithCommas(static_cast<std::int64_t>(wakes)),
+                  util::WithCommas(static_cast<std::int64_t>(dvfs_steps))});
         if (tsv != nullptr) {
           std::fprintf(tsv,
                        "%s\t%s\t%s\t%.6g\t%.6g\t%.6g\t%.6f\t%.4f\t%llu\t%llu"
@@ -252,9 +249,9 @@ int main(int argc, char** argv) {
                        sched.c_str(), shape.name, policy.c_str(), c.joules,
                        c.joules_per_task, c.edp, c.short_p90,
                        c.sleep_fraction,
-                       static_cast<unsigned long long>(c.parks),
-                       static_cast<unsigned long long>(c.wakes),
-                       static_cast<unsigned long long>(c.dvfs_steps));
+                       static_cast<unsigned long long>(parks),
+                       static_cast<unsigned long long>(wakes),
+                       static_cast<unsigned long long>(dvfs_steps));
         }
       }
     }

@@ -106,17 +106,8 @@ int main(int argc, char** argv) {
             .Add("chaos", chaos)
             .AddInt("heartbeat_span", span)
             .Add("short_p90_qdelay", p90)
-            .Add("slowdown", slowdown)
-            .AddInt("fed_gossip_published", c.fed_gossip_published)
-            .AddInt("fed_gossip_applied", c.fed_gossip_applied)
-            .AddInt("fed_gossip_stale_dropped", c.fed_gossip_stale_dropped)
-            .AddInt("fed_offloads", c.fed_offloads)
-            .AddInt("fed_offloads_blocked_stale", c.fed_offloads_blocked_stale)
-            .AddInt("fed_cross_shard_probes", c.fed_cross_shard_probes)
-            .AddInt("fed_bind_attempts", c.fed_bind_attempts)
-            .AddInt("fed_bind_accepts", c.fed_bind_accepts)
-            .AddInt("fed_bind_rejects", c.fed_bind_rejects)
-            .AddInt("fed_territory_fallbacks", c.fed_territory_fallbacks);
+            .Add("slowdown", slowdown);
+        bench::AddCounters(cell, c, metrics::CounterGroup::kFederation);
         bench::AddThroughput(cell, runs.reports());
       }
     }

@@ -79,13 +79,11 @@ int main(int argc, char** argv) {
         const runner::RepeatedRuns runs(trace, cluster, ro, o.runs);
         const double p90 = runs.MeanQueuingPercentile(
             90, metrics::ClassFilter::kShort, metrics::ConstraintFilter::kAll);
-        std::uint64_t sent = 0, dropped = 0, retries = 0, failures = 0;
-        for (const auto& r : runs.reports()) {
-          sent += r.counters.net_messages_sent;
-          dropped += r.counters.net_messages_dropped;
-          retries += r.counters.rpc_retries;
-          failures += r.counters.rpc_failures;
-        }
+        const auto c = runner::AggregateCounters(runs.reports());
+        const std::uint64_t sent = c.net_messages_sent;
+        const std::uint64_t dropped = c.net_messages_dropped;
+        const std::uint64_t retries = c.rpc_retries;
+        const std::uint64_t failures = c.rpc_failures;
         if (baseline == 0) baseline = p90;  // first cell: nominal, lossless
         const double slowdown = p90 / baseline;
         t.AddRow({util::StrFormat("%.1fms", latency / sim::kMillisecond),

@@ -66,19 +66,8 @@ bench::JsonEmitter MakeEmitter(const bench::BenchOptions& o,
         .Add("packing_efficiency", c.packing_efficiency)
         .Add("fragmentation_time_avg", c.fragmentation)
         .Add("gang_wait_mean_s", c.gang_wait)
-        .Add("short_p90_queuing_s", c.short_p90)
-        .AddInt("packed_tasks", c.counters.packed_tasks)
-        .AddInt("pack_fit_rejections", c.counters.pack_fit_rejections)
-        .AddInt("pack_demand_clamped", c.counters.pack_demand_clamped)
-        .AddInt("gangs_placed", c.counters.gangs_placed)
-        .AddInt("gang_commits", c.counters.gang_commits)
-        .AddInt("gang_aborts", c.counters.gang_aborts)
-        .AddInt("gang_retry_waits", c.counters.gang_retry_waits)
-        .AddInt("gangs_degraded", c.counters.gangs_degraded)
-        .AddInt("malleable_jobs", c.counters.malleable_jobs)
-        .AddInt("malleable_expands", c.counters.malleable_expands)
-        .AddInt("malleable_shrinks", c.counters.malleable_shrinks)
-        .AddInt("malleable_min_hits", c.counters.malleable_min_hits);
+        .Add("short_p90_queuing_s", c.short_p90);
+    bench::AddCounters(cell, c.counters, metrics::CounterGroup::kPacking);
     bench::AddThroughput(cell, c.events, c.wall);
   }
   return emitter;

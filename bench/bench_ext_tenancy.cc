@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   const std::string json_path = flags.GetString("json", "");
   const double slo_target = flags.GetDouble("slo", 60.0);
-  auto o = bench::ParseBenchOptions(flags, 120, 2);
+  auto o = bench::ParseBenchOptions(flags, 120, 2, {"trace-google"});
   bench::PrintHeader("Extension: multi-tenant SLO scheduling", o,
                      "beyond-paper: the paper's clusters are single-tenant");
   std::printf("tenants: prod (quota 50%%, SLO %gs) / batch (quota 40%%, CRV "
@@ -87,13 +87,10 @@ int main(int argc, char** argv) {
                        "SLO att.", "preempts", "guard/cap", "downgrades",
                        "rejects", "jain"});
     for (const Mix& mix : mixes) {
-      auto gen = trace::ProfileByName("google");
-      gen.num_jobs = o.jobs;
-      gen.num_workers = o.nodes;
-      gen.target_load = o.load;
-      gen.seed = o.seed;
-      gen.tenant_weights = mix.weights;
-      const auto trace = trace::GenerateTrace(mix.name, gen);
+      const auto trace =
+          bench::MakeTrace("google", o, [&](trace::GeneratorOptions& gen) {
+            gen.tenant_weights = mix.weights;
+          });
       for (const bool preemption : {false, true}) {
         runner::RunOptions ro = bench::CellOptions(
             o, sched,

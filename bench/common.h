@@ -84,7 +84,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <initializer_list>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -98,6 +101,7 @@
 #include "runner/parallel.h"
 #include "trace/generators.h"
 #include "trace/google_reader.h"
+#include "util/check.h"
 #include "util/flags.h"
 #include "util/format.h"
 #include "workflow/config.h"
@@ -145,10 +149,13 @@ struct BenchOptions {
 /// Parses the common flags. Bad input is a usage error, never an abort deep
 /// in a constructor: every problem is collected, each naming its flag, and
 /// the parse exits 1 once listing all of them (the constructors keep their
-/// checks as internal asserts that a parsed config never trips).
-inline BenchOptions ParseBenchOptions(util::Flags& flags,
-                                      std::size_t default_nodes = 300,
-                                      std::size_t default_runs = 1) {
+/// checks as internal asserts that a parsed config never trips). `swept`
+/// names the common flags the bench's own sweep sets in every cell; giving
+/// one is a problem too, since the sweep would silently override it.
+inline BenchOptions ParseBenchOptions(
+    util::Flags& flags, std::size_t default_nodes = 300,
+    std::size_t default_runs = 1,
+    std::initializer_list<const char*> swept = {}) {
   std::vector<std::string> problems;
   const auto require = [&problems](bool ok, std::string problem) {
     if (!ok) problems.push_back(std::move(problem));
@@ -222,6 +229,9 @@ inline BenchOptions ParseBenchOptions(util::Flags& flags,
   o.federation.staleness_bound =
       flags.GetDouble("stale-bound", o.federation.staleness_bound);
   require(o.federation.shards >= 1, "--shards must be >= 1");
+  require(o.federation.shards <= o.nodes,
+          util::StrFormat("--shards must be <= --nodes (got %zu > %zu)",
+                          o.federation.shards, o.nodes));
   require(o.federation.gossip_period > 0, "--gossip-period must be positive");
   require(o.federation.staleness_bound > 0, "--stale-bound must be positive");
   o.power.enabled = flags.GetBool("power", false);
@@ -297,6 +307,12 @@ inline BenchOptions ParseBenchOptions(util::Flags& flags,
   require(o.shape.empty() || trace::FindShapeByName(o.shape) != nullptr,
           "--shape must be steady|diurnal|flash-crowd (got \"" + o.shape +
               "\")");
+  for (const char* flag : swept) {
+    require(!flags.Provided(flag),
+            util::StrFormat("--%s cannot be used with this bench: its "
+                            "sweep overrides it in every cell",
+                            flag));
+  }
   for (const std::string& problem : problems) {
     std::fprintf(stderr, "%s\n", problem.c_str());
   }
@@ -310,14 +326,19 @@ inline BenchOptions ParseBenchOptions(util::Flags& flags,
   return o;
 }
 
-/// Generates the named profile's trace calibrated to the bench fleet, or
-/// replays `--trace-google` when set. The packing gang/malleable mix tags
-/// the trace only when packing is enabled, so `--packing`-off runs generate
-/// byte-identical traces; likewise the DAG overlay runs only under `--dag`.
-inline trace::Trace MakeTrace(const std::string& profile,
-                              const BenchOptions& o) {
+/// The trace a bench cell runs: `--trace-google` replayed, or `profile`
+/// generated for the bench fleet (--nodes, --jobs, --load, --seed) with the
+/// `--shape` arrival shape and, under `--packing`, the gang/malleable mix
+/// (so `--packing`-off traces are byte-identical); then, under `--dag`, the
+/// DAG overlay. A bench sweeping a generator field sets it in `sweep`, which
+/// runs last on the generator options, and names the flags that sweep
+/// overrides (`--trace-google` always) in ParseBenchOptions.
+inline trace::Trace MakeTrace(
+    const std::string& profile, const BenchOptions& o,
+    const std::function<void(trace::GeneratorOptions&)>& sweep = nullptr) {
   trace::Trace t;
   if (!o.trace_google.empty()) {
+    PHOENIX_CHECK_MSG(!sweep, "a swept trace cannot replay --trace-google");
     std::string error;
     t = trace::ReadGoogleTraceFile(o.trace_google, &error);
     if (!error.empty()) {
@@ -339,6 +360,7 @@ inline trace::Trace MakeTrace(const std::string& profile,
     if (!o.shape.empty()) {
       trace::ApplyLoadShape(*trace::FindShapeByName(o.shape), gen);
     }
+    if (sweep) sweep(gen);
     t = trace::GenerateTrace(profile, gen);
   }
   if (o.workflow.dag) {
@@ -444,6 +466,25 @@ class JsonObject {
   }
   std::string body_;
 };
+
+/// Appends every counter of `group`, keyed by its field name, in the order
+/// of metrics/counters.def.
+inline JsonObject& AddCounters(JsonObject& cell,
+                               const metrics::SchedulerCounters& c,
+                               metrics::CounterGroup group) {
+  const auto add = [&cell](const char* key, auto value) {
+    if constexpr (std::is_same_v<decltype(value), double>) {
+      cell.Add(key, value);
+    } else {
+      cell.AddInt(key, value);
+    }
+  };
+#define PHOENIX_COUNTER(row_group, type, name) \
+  if (metrics::CounterGroup::row_group == group) add(#name, c.name);
+#include "metrics/counters.def"
+#undef PHOENIX_COUNTER
+  return cell;
+}
 
 /// Appends the host-side throughput fields, summed over a cell's runs.
 /// `events_fired` is deterministic for the cell's seeds; `sim_wall_seconds`

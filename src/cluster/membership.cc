@@ -7,17 +7,6 @@
 
 namespace phoenix::cluster {
 
-std::string_view LifecycleName(MachineLifecycle state) {
-  switch (state) {
-    case MachineLifecycle::kParked: return "parked";
-    case MachineLifecycle::kProvisioning: return "provisioning";
-    case MachineLifecycle::kActive: return "active";
-    case MachineLifecycle::kDraining: return "draining";
-    case MachineLifecycle::kRetired: return "retired";
-  }
-  return "?";
-}
-
 MembershipView::MembershipView(const Cluster& cluster,
                                std::size_t guaranteed_active)
     : cluster_(cluster), guaranteed_(guaranteed_active),

@@ -33,7 +33,6 @@
 #include <map>
 #include <memory>
 #include <shared_mutex>
-#include <string_view>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -47,8 +46,6 @@ enum class MachineLifecycle : std::uint8_t {
   kDraining,      // finishes held bound work; accepts nothing new
   kRetired,       // lease ended; may be re-leased (-> provisioning)
 };
-
-std::string_view LifecycleName(MachineLifecycle state);
 
 class MembershipView {
  public:

@@ -43,15 +43,11 @@ ElasticityController::ElasticityController(sim::Engine& engine,
   PHOENIX_CHECK(config_.base_machines > 0);
 }
 
-double ElasticityController::tick_interval() const {
-  return config_.tick_interval > 0 ? config_.tick_interval
-                                   : scheduler_.config().heartbeat_interval;
-}
-
 void ElasticityController::Start() {
   last_tick_ = engine_.Now();
   LeaseTransients();
-  engine_.ScheduleAfter(tick_interval(), [this] { Tick(); });
+  engine_.ScheduleAfter(scheduler_.config().heartbeat_interval,
+                        [this] { Tick(); });
 }
 
 void ElasticityController::Tick() {
@@ -65,8 +61,9 @@ void ElasticityController::Tick() {
   LeaseTransients();
   if (config_.reclaim_rate > 0 && dt > 0) CheckReclamation(dt);
   PollDrains();
-  if (config_.reactive) ReactiveDecision();
-  engine_.ScheduleAfter(tick_interval(), [this] { Tick(); });
+  ReactiveDecision();
+  engine_.ScheduleAfter(scheduler_.config().heartbeat_interval,
+                        [this] { Tick(); });
 }
 
 void ElasticityController::LeaseTransients() {
@@ -219,7 +216,7 @@ MachineId ElasticityController::PickProvisionCandidate() {
     candidates.push_back(mid);
   }
   if (candidates.empty()) return cluster::kInvalidMachine;
-  if (config_.crv_shaping && phoenix_ != nullptr) {
+  if (phoenix_ != nullptr) {
     // CRV-aware supply shaping: bring up the candidate that relieves the
     // most queued demand on the hottest dimension. HotPredicates orders
     // hottest-first; scoring by total satisfied demand lets one machine

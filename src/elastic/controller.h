@@ -1,8 +1,8 @@
 // Elasticity controller: drives machine lifecycle over a MembershipView.
 //
-// The controller runs on its own periodic tick (default: the scheduler
-// heartbeat period, scheduled *after* the heartbeat so the tick always sees
-// freshly synced load signals). Each tick it
+// The controller ticks once per scheduler heartbeat period, scheduled
+// *after* the heartbeat so the tick always sees freshly synced load signals.
+// Each tick it
 //
 //   1. tops the transient pool up to its lease target,
 //   2. plays the stochastic reclamation stream over active transient
@@ -16,8 +16,8 @@
 //
 // Scale-ups under Phoenix consult the CRV table: the new machine is the
 // reserve candidate satisfying the most queued demand on the hottest
-// dimension (CRV-aware supply shaping). Other schedulers (and Phoenix with
-// shaping off) take the lowest-id candidate.
+// dimension (CRV-aware supply shaping). Other schedulers take the lowest-id
+// candidate.
 #pragma once
 
 #include <cstdint>
@@ -97,8 +97,6 @@ class ElasticityController {
   /// Best scale-up candidate among parked/retired reserve machines; applies
   /// CRV-aware supply shaping under Phoenix. kInvalidMachine if none.
   cluster::MachineId PickProvisionCandidate();
-
-  double tick_interval() const;
 
   sim::Engine& engine_;
   sched::SchedulerBase& scheduler_;

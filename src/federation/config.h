@@ -32,7 +32,7 @@ struct FederationConfig {
   /// A peer is worth offloading to only if its gossiped mean E[W] is below
   /// this fraction of the home shard's own. Hysteresis against ping-ponging
   /// work between two equally loaded shards on slightly stale views.
-  double offload_factor = 0.8;
+  static constexpr double offload_factor = 0.8;
 
   bool enabled() const { return shards > 1; }
 };

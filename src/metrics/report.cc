@@ -148,11 +148,19 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 
+constexpr std::size_t kCounterRows = 0
+#define PHOENIX_COUNTER(group, type, name) +1
+#include "metrics/counters.def"
+#undef PHOENIX_COUNTER
+    ;
+
 // Every counter is a 64-bit integer or double, so the block is a padding-free
-// array of 8-byte words and hashing its bytes covers each field exactly once.
+// array of one 8-byte word per counters.def row, and hashing its bytes covers
+// each field exactly once.
 static_assert(std::is_trivially_copyable_v<SchedulerCounters> &&
-                  sizeof(SchedulerCounters) % sizeof(std::uint64_t) == 0,
-              "SchedulerCounters must stay a block of 8-byte fields");
+                  sizeof(SchedulerCounters) ==
+                      sizeof(std::uint64_t) * kCounterRows,
+              "SchedulerCounters must stay one 8-byte field per row");
 
 }  // namespace
 

@@ -87,7 +87,7 @@ struct FabricConfig {
 
   /// Pacing delay (seconds) before a delivery that bounced off a failed
   /// machine is re-sent, so a fully-failed pool cannot spin the event loop.
-  double bounce_backoff = 1.0;
+  static constexpr double bounce_backoff = 1.0;
 
   /// Fabric stream seed; mixed with the run seed so per-seed experiment
   /// repeats decorrelate while staying reproducible.

@@ -7,65 +7,13 @@ void EventSink::OnWorkerSample(const WorkerSample&) {}
 void EventSink::Flush() {}
 
 const char* EventTypeName(EventType type) {
-  switch (type) {
-    case EventType::kJobArrival: return "job_arrival";
-    case EventType::kJobComplete: return "job_complete";
-    case EventType::kAdmissionRelax: return "admission_relax";
-    case EventType::kProbeSend: return "probe_send";
-    case EventType::kProbeResolve: return "probe_resolve";
-    case EventType::kProbeCancel: return "probe_cancel";
-    case EventType::kProbeDecline: return "probe_decline";
-    case EventType::kProbeBounce: return "probe_bounce";
-    case EventType::kTaskStart: return "task_start";
-    case EventType::kTaskComplete: return "task_complete";
-    case EventType::kTaskKill: return "task_kill";
-    case EventType::kStickyFetch: return "sticky_fetch";
-    case EventType::kSteal: return "steal";
-    case EventType::kCrvReorder: return "crv_reorder";
-    case EventType::kCrvSnapshot: return "crv_snapshot";
-    case EventType::kMachineFail: return "machine_fail";
-    case EventType::kMachineRepair: return "machine_repair";
-    case EventType::kHeartbeat: return "heartbeat";
-    case EventType::kMsgSend: return "msg_send";
-    case EventType::kMsgDeliver: return "msg_deliver";
-    case EventType::kMsgDrop: return "msg_drop";
-    case EventType::kMsgExpire: return "msg_expire";
-    case EventType::kRpcRetry: return "rpc_retry";
-    case EventType::kRpcFail: return "rpc_fail";
-    case EventType::kPartitionStart: return "partition_start";
-    case EventType::kPartitionEnd: return "partition_end";
-    case EventType::kMachinePark: return "machine_park";
-    case EventType::kMachineProvision: return "machine_provision";
-    case EventType::kMachineCommission: return "machine_commission";
-    case EventType::kMachineDrain: return "machine_drain";
-    case EventType::kMachineRetire: return "machine_retire";
-    case EventType::kMachineReclaim: return "machine_reclaim";
-    case EventType::kTenantAdmit: return "tenant_admit";
-    case EventType::kTenantReject: return "tenant_reject";
-    case EventType::kTenantDowngrade: return "tenant_downgrade";
-    case EventType::kPreemptIssue: return "preempt_issue";
-    case EventType::kPreemptRequeue: return "preempt_requeue";
-    case EventType::kGossipPublish: return "gossip_publish";
-    case EventType::kGossipApply: return "gossip_apply";
-    case EventType::kFedBindSend: return "fed_bind_send";
-    case EventType::kFedBindAccept: return "fed_bind_accept";
-    case EventType::kFedBindReject: return "fed_bind_reject";
-    case EventType::kPowerState: return "power_state";
-    case EventType::kPowerPark: return "power_park";
-    case EventType::kPowerWake: return "power_wake";
-    case EventType::kPowerDvfs: return "power_dvfs";
-    case EventType::kPackCapacity: return "pack_capacity";
-    case EventType::kPackClaim: return "pack_claim";
-    case EventType::kPackRelease: return "pack_release";
-    case EventType::kGangReserve: return "gang_reserve";
-    case EventType::kGangCommit: return "gang_commit";
-    case EventType::kGangAbort: return "gang_abort";
-    case EventType::kMalleableWidth: return "malleable_width";
-    case EventType::kDagReady: return "dag_ready";
-    case EventType::kDagRelease: return "dag_release";
-    case EventType::kDeadlineMiss: return "deadline_miss";
-  }
-  return "?";
+  static constexpr const char* kNames[kNumEventTypes] = {
+#define PHOENIX_EVENT(type, name) name,
+#include "obs/event_types.def"
+#undef PHOENIX_EVENT
+  };
+  const auto i = static_cast<std::size_t>(type);
+  return i < kNumEventTypes ? kNames[i] : "?";
 }
 
 }  // namespace phoenix::obs

@@ -15,122 +15,16 @@ namespace phoenix::obs {
 inline constexpr std::uint32_t kNoId = 0xffffffffu;
 
 enum class EventType : std::uint8_t {
-  kJobArrival,      // job submitted; value = task count
-  kJobComplete,     // last task finished; value = response time
-  kAdmissionRelax,  // soft constraints relaxed; value = count removed
-  kProbeSend,       // proxy probe dispatched toward `machine`
-  kProbeResolve,    // probe reached a slot and took task `task`
-  kProbeCancel,     // probe dissolved (job fully placed) or dropped stale
-  kProbeDecline,    // probe declined at resolution (spread preference)
-  kProbeBounce,     // probe lost its worker (failure); re-sent elsewhere
-  kTaskStart,       // task began executing; value = service duration
-  kTaskComplete,    // task finished; value = service duration
-  kTaskKill,        // running task killed by a machine failure
-  kStickyFetch,     // slot held to fetch the job's next task directly
-  kSteal,           // idle `machine` stole a probe; value = victim id
-  kCrvReorder,      // CRV discipline promoted queue index `task`
-  kCrvSnapshot,     // heartbeat CRV refresh; task = dim, value = ratio
-  kMachineFail,     // machine went down
-  kMachineRepair,   // machine came back
-  kHeartbeat,       // heartbeat tick; value = total queued entries
-  // Control-plane fabric lifecycle (src/net). `machine` is the destination,
-  // `task` the net::MessageKind, `value` the message id — every kMsgSend id
-  // must be matched by exactly one kMsgDeliver, kMsgDrop, or kMsgExpire
-  // (the auditor's message-conservation rule). The zero-chaos fast path
-  // emits none of these.
-  kMsgSend,         // fabric accepted a message
-  kMsgDeliver,      // message arrived and was consumed
-  kMsgDrop,         // message lost (drop chaos or partition)
-  kMsgExpire,       // message arrived stale (its call already resolved)
-  kRpcRetry,        // an rpc attempt timed out and was re-sent; value = call
-  kRpcFail,         // an rpc exhausted its retries; value = call id
-  kPartitionStart,  // machine set cut off; value = set size
-  kPartitionEnd,    // partition healed
-  // Elastic cluster lifecycle (src/elastic). `machine` is the subject; the
-  // auditor replays these into a per-machine lifecycle table and rejects
-  // illegal transitions, task starts on non-active machines, and capacity
-  // leaks (machines left provisioning/draining at the end of the run).
-  kMachinePark,       // machine starts the run outside the fleet
-  kMachineProvision,  // lease started; value = warm-up delay
-  kMachineCommission, // warm-up done, machine is active
-  kMachineDrain,      // no new bindings; held bound work may finish
-  kMachineRetire,     // drain complete (value = 1 if forced, 0 graceful)
-  kMachineReclaim,    // transient lease reclaimed (precedes its drain)
-  // Multi-tenant scheduling (src/tenancy). For the tenant admission events
-  // `machine` carries the tenant id and `task` the effective priority
-  // class; kTenantAdmit/kTenantDowngrade carry the post-charge quota
-  // fraction in `value` (0 when unlimited), which the auditor's quota rule
-  // requires to stay within [0, 1]. For the preemption pair `job` is the
-  // victim job, `machine` the worker and `task` the victim's task index;
-  // every kPreemptIssue must be matched by exactly one kPreemptRequeue for
-  // the same (job, task) — the preemption-conservation rule — and counts as
-  // a kill in the start/complete balance.
-  kTenantAdmit,       // tenanted job admitted; value = quota fraction
-  kTenantReject,      // quota exhausted, demoted to uncharged best-effort
-  kTenantDowngrade,   // class lowered / constraint traded; value = fraction
-  kPreemptIssue,      // running task killed for prod work; value = lost s
-  kPreemptRequeue,    // the preempted task re-entered its worker's queue
-  // Sharded control plane (src/federation). For the gossip pair `machine`
-  // carries the publishing/receiving shard id, `task` the peer shard (kNoId
-  // on publish), and `value` the digest version — the auditor requires
-  // applied versions to be strictly increasing per (receiver, origin) pair.
-  // For the optimistic cross-shard bind triple `job`/`machine`/`task`
-  // identify the binding as usual; every kFedBindSend must be matched by
-  // exactly one kFedBindAccept or kFedBindReject for the same (job, task),
-  // and an accept on a non-active machine is a lifecycle violation.
-  kGossipPublish,     // shard published its digest; value = version
-  kGossipApply,       // receiver applied a peer digest; value = version
-  kFedBindSend,       // task bound into a peer territory on a gossiped view
-  kFedBindAccept,     // remote worker had the advertised free slot
-  kFedBindReject,     // double-bind detected; task requeued at home
-  // Energy/power management (src/power). kPowerState carries the machine's
-  // new electrical draw in `value` (watts); the run opens with one per
-  // machine declaring the initial draw, and the auditor integrates the
-  // stream into Sigma state-dwell x watts, which must equal the meter's
-  // joules at the end of the run (energy conservation). kPowerPark is legal
-  // only on an active/draining machine, kPowerWake only on a parked one,
-  // kPowerDvfs only on an active one (`task` = new P-state index).
-  kPowerState,        // draw changed; value = new watts
-  kPowerPark,         // controller parked the machine into deep sleep
-  kPowerWake,         // wake begun; value = S3-exit latency (seconds)
-  kPowerDvfs,         // DVFS step; task = new P-state, value = new watts
-  // Multi-resource packing (src/packing). kPackCapacity declares one
-  // dimension of a machine's capacity at run start (`task` = PackDim index,
-  // `value` = capacity). Every kPackClaim (task start or gang reservation)
-  // must be balanced by kPackRelease of the same amount on the same
-  // (machine, dimension); the auditor integrates the stream into a residual
-  // ledger that must stay within [0, capacity] at every step and return to
-  // zero outstanding at the end of the run (capacity conservation). For the
-  // gang triple `job` is the gang: every kGangReserve opens a reservation
-  // round closed by exactly one kGangCommit (all members co-start) or
-  // kGangAbort (hold expired / member lost; reservations released), and no
-  // kTaskStart of a gang job may precede its round's commit (gang
-  // atomicity). kMalleableWidth records a malleable job's new parallelism
-  // target in `value`.
-  kPackCapacity,      // task = dimension, value = machine capacity
-  kPackClaim,         // task = dimension, value = amount claimed
-  kPackRelease,       // task = dimension, value = amount released
-  kGangReserve,       // machine reserved; task = member count, value = hold
-  kGangCommit,        // all members arrived; value = gang wait (seconds)
-  kGangAbort,         // reservation round abandoned; value = retry backoff
-  kMalleableWidth,    // width changed; value = new parallelism target
-  // DAG workflows and deadline scheduling (src/workflow). A DAG job's task
-  // becomes ready (all predecessors finished) with kDagReady — `value`
-  // carries its downstream critical-path work — and is handed to the
-  // dispatch path with kDagRelease. The auditor requires each (job, task)
-  // to be marked ready and released at most once, rejects any kTaskStart of
-  // a DAG job without a prior kDagReady for that task (no task may run
-  // before its predecessors finish), and at Finish() requires every DAG
-  // job's released count to equal its task count. kDeadlineMiss fires at
-  // most once per job, at completion, with the positive lateness in
-  // `value`.
-  kDagReady,          // task's predecessors all finished; value = downstream
-  kDagRelease,        // ready task entered the dispatch path
-  kDeadlineMiss,      // job finished past its deadline; value = lateness (s)
+#define PHOENIX_EVENT(type, name) type,
+#include "obs/event_types.def"
+#undef PHOENIX_EVENT
 };
 
-inline constexpr std::size_t kNumEventTypes =
-    static_cast<std::size_t>(EventType::kDeadlineMiss) + 1;
+inline constexpr std::size_t kNumEventTypes = 0
+#define PHOENIX_EVENT(type, name) +1
+#include "obs/event_types.def"
+#undef PHOENIX_EVENT
+    ;
 
 /// Stable lowercase name for serialization ("probe_send", ...).
 const char* EventTypeName(EventType type);

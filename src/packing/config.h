@@ -42,8 +42,8 @@ struct PackingConfig {
   double gang_hold = 30.0;
   /// Base delay before re-attempting a gang that found insufficient free
   /// capacity; doubles per consecutive retry up to gang_retry_cap.
-  double gang_retry_backoff = 5.0;
-  double gang_retry_cap = 120.0;
+  static constexpr double gang_retry_backoff = 5.0;
+  static constexpr double gang_retry_cap = 120.0;
 
   // --- malleable jobs -------------------------------------------------------
 

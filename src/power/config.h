@@ -26,7 +26,7 @@ struct PowerPolicy {
   /// capacity. Probes only sample bindable machines, so parking the excess
   /// concentrates load on the survivors instead of leaving the whole fleet
   /// lukewarm.
-  double park_target_rho = 0.6;
+  static constexpr double park_target_rho = 0.6;
   /// Never park below this fraction of the fleet kept bindable — the
   /// floor bounds worst-case wake storms after a lull.
   double min_active_fraction = 0.25;
@@ -35,21 +35,21 @@ struct PowerPolicy {
   double target_wait = 5.0;
   double wake_wait_factor = 1.5;
   /// Per-tick actuation caps: at most this many parks/wakes per decision.
-  std::size_t park_step = 4;
-  std::size_t wake_step = 4;
+  static constexpr std::size_t park_step = 4;
+  static constexpr std::size_t wake_step = 4;
 
   /// DVFS hysteresis band on the per-worker observed utilization rho:
   /// below `dvfs_low_rho` step one P-state down (slower, cheaper), above
   /// `dvfs_high_rho` step one up (faster, hungrier).
-  double dvfs_low_rho = 0.15;
-  double dvfs_high_rho = 0.60;
+  static constexpr double dvfs_low_rho = 0.15;
+  static constexpr double dvfs_high_rho = 0.60;
 
   /// CRV supply weight of a parked machine that satisfies a predicate:
   /// sleeping capacity counts as wake-discounted supply (0 disables).
   double parked_supply_weight = 0.5;
   /// A parked worker's advertised E[W] is wake_penalty_factor x its
   /// wake latency — the wake cost folded into WorkerWaitEstimator.
-  double wake_penalty_factor = 1.0;
+  static constexpr double wake_penalty_factor = 1.0;
 };
 
 struct PowerConfig {

@@ -223,92 +223,9 @@ metrics::SchedulerCounters AggregateCounters(
     const std::vector<metrics::SimReport>& reports) {
   metrics::SchedulerCounters sum;
   for (const auto& r : reports) {
-    const metrics::SchedulerCounters& c = r.counters;
-    sum.probes_sent += c.probes_sent;
-    sum.probes_cancelled += c.probes_cancelled;
-    sum.tasks_reordered_crv += c.tasks_reordered_crv;
-    sum.tasks_reordered_srpt += c.tasks_reordered_srpt;
-    sum.tasks_stolen += c.tasks_stolen;
-    sum.soft_constraints_relaxed += c.soft_constraints_relaxed;
-    sum.tasks_admission_rejected += c.tasks_admission_rejected;
-    sum.heartbeats += c.heartbeats;
-    sum.crv_reorder_rounds += c.crv_reorder_rounds;
-    sum.placement_spread_violations += c.placement_spread_violations;
-    sum.placement_colocate_misses += c.placement_colocate_misses;
-    sum.probes_declined_placement += c.probes_declined_placement;
-    sum.machine_failures += c.machine_failures;
-    sum.tasks_rescheduled_failure += c.tasks_rescheduled_failure;
-    sum.probes_bounced += c.probes_bounced;
-    sum.sticky_fetch_redispatches += c.sticky_fetch_redispatches;
-    sum.placement_dead_fallbacks += c.placement_dead_fallbacks;
-    sum.net_messages_sent += c.net_messages_sent;
-    sum.net_messages_dropped += c.net_messages_dropped;
-    sum.net_messages_duplicated += c.net_messages_duplicated;
-    sum.net_messages_expired += c.net_messages_expired;
-    sum.rpc_retries += c.rpc_retries;
-    sum.rpc_failures += c.rpc_failures;
-    sum.elastic_provisions += c.elastic_provisions;
-    sum.elastic_commissions += c.elastic_commissions;
-    sum.elastic_drains += c.elastic_drains;
-    sum.elastic_retires_graceful += c.elastic_retires_graceful;
-    sum.elastic_retires_forced += c.elastic_retires_forced;
-    sum.elastic_reclamations += c.elastic_reclamations;
-    sum.elastic_tasks_redispatched += c.elastic_tasks_redispatched;
-    sum.elastic_scale_up_decisions += c.elastic_scale_up_decisions;
-    sum.elastic_scale_down_decisions += c.elastic_scale_down_decisions;
-    sum.elastic_crv_shaped_picks += c.elastic_crv_shaped_picks;
-    sum.elastic_warmup_seconds += c.elastic_warmup_seconds;
-    sum.elastic_wasted_warmup_seconds += c.elastic_wasted_warmup_seconds;
-    sum.tenant_admits += c.tenant_admits;
-    sum.tenant_downgrades += c.tenant_downgrades;
-    sum.tenant_rejects += c.tenant_rejects;
-    sum.tenant_slo_jobs += c.tenant_slo_jobs;
-    sum.tenant_slo_attained += c.tenant_slo_attained;
-    sum.tenant_slo_at_risk += c.tenant_slo_at_risk;
-    sum.tenant_priority_promotions += c.tenant_priority_promotions;
-    sum.preemptions_issued += c.preemptions_issued;
-    sum.preemption_requeues += c.preemption_requeues;
-    sum.preemptions_blocked_guard += c.preemptions_blocked_guard;
-    sum.preemptions_blocked_cap += c.preemptions_blocked_cap;
-    sum.preemptions_blocked_lifecycle += c.preemptions_blocked_lifecycle;
-    sum.preemption_restart_seconds += c.preemption_restart_seconds;
-    sum.preemption_lost_seconds += c.preemption_lost_seconds;
-    sum.fed_gossip_published += c.fed_gossip_published;
-    sum.fed_gossip_applied += c.fed_gossip_applied;
-    sum.fed_gossip_stale_dropped += c.fed_gossip_stale_dropped;
-    sum.fed_offloads += c.fed_offloads;
-    sum.fed_offloads_blocked_stale += c.fed_offloads_blocked_stale;
-    sum.fed_cross_shard_probes += c.fed_cross_shard_probes;
-    sum.fed_bind_attempts += c.fed_bind_attempts;
-    sum.fed_bind_accepts += c.fed_bind_accepts;
-    sum.fed_bind_rejects += c.fed_bind_rejects;
-    sum.fed_territory_fallbacks += c.fed_territory_fallbacks;
-    sum.power_parks += c.power_parks;
-    sum.power_wakes += c.power_wakes;
-    sum.power_demand_wakes += c.power_demand_wakes;
-    sum.power_dvfs_raises += c.power_dvfs_raises;
-    sum.power_dvfs_lowers += c.power_dvfs_lowers;
-    sum.power_park_vetoes_coverage += c.power_park_vetoes_coverage;
-    sum.power_park_vetoes_floor += c.power_park_vetoes_floor;
-    sum.power_wake_decisions += c.power_wake_decisions;
-    sum.power_parks_instead_of_retire += c.power_parks_instead_of_retire;
-    sum.packed_tasks += c.packed_tasks;
-    sum.pack_fit_rejections += c.pack_fit_rejections;
-    sum.pack_demand_clamped += c.pack_demand_clamped;
-    sum.gangs_placed += c.gangs_placed;
-    sum.gang_commits += c.gang_commits;
-    sum.gang_aborts += c.gang_aborts;
-    sum.gang_retry_waits += c.gang_retry_waits;
-    sum.gangs_degraded += c.gangs_degraded;
-    sum.malleable_jobs += c.malleable_jobs;
-    sum.malleable_expands += c.malleable_expands;
-    sum.malleable_shrinks += c.malleable_shrinks;
-    sum.malleable_min_hits += c.malleable_min_hits;
-    sum.dag_jobs += c.dag_jobs;
-    sum.dag_tasks_released += c.dag_tasks_released;
-    sum.deadline_jobs += c.deadline_jobs;
-    sum.deadline_misses += c.deadline_misses;
-    sum.deadline_promotions += c.deadline_promotions;
+#define PHOENIX_COUNTER(group, type, name) sum.name += r.counters.name;
+#include "metrics/counters.def"
+#undef PHOENIX_COUNTER
   }
   return sum;
 }

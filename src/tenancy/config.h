@@ -21,7 +21,7 @@ struct TenancyConfig {
 
   /// Modeled restart cost, seconds added to a preempted task's re-run
   /// (checkpoint loss + container restart).
-  double preemption_restart_cost = 2.0;
+  static constexpr double preemption_restart_cost = 2.0;
 
   /// A task preempted this many times becomes immune (pairs with the
   /// slack_threshold starvation guard to bound best-effort starvation).
@@ -29,7 +29,7 @@ struct TenancyConfig {
 
   /// Horizon (seconds) a quota_share buys: a tenant with share q on an
   /// N-machine fleet may hold q * N * quota_window committed machine-seconds.
-  double quota_window = 120.0;
+  static constexpr double quota_window = 120.0;
 
   bool enabled() const { return !tenants.empty(); }
 };

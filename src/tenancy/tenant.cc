@@ -4,15 +4,6 @@
 
 namespace phoenix::tenancy {
 
-const char* PriorityClassName(PriorityClass c) {
-  switch (c) {
-    case PriorityClass::kProd: return "prod";
-    case PriorityClass::kBatch: return "batch";
-    case PriorityClass::kBestEffort: return "best-effort";
-  }
-  return "?";
-}
-
 PriorityClass Lowered(PriorityClass c) {
   switch (c) {
     case PriorityClass::kProd: return PriorityClass::kBatch;

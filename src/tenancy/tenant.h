@@ -36,8 +36,6 @@ inline constexpr std::uint8_t PriorityRank(PriorityClass c) {
   return static_cast<std::uint8_t>(c);
 }
 
-const char* PriorityClassName(PriorityClass c);
-
 /// One step down the class ladder (best-effort is the floor).
 PriorityClass Lowered(PriorityClass c);
 
