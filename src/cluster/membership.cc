@@ -136,22 +136,13 @@ std::size_t MembershipView::CountEligible(const Constraint& c) const {
   return count;
 }
 
+// The guaranteed base fleet is the id prefix [0, guaranteed_).
 std::size_t MembershipView::CountAdmissible(const ConstraintSet& cs) const {
-  const util::Bitset& pool = cluster_.Satisfying(cs);
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < guaranteed_; ++i) {
-    if (pool.Test(i)) ++count;
-  }
-  return count;
+  return cluster_.Satisfying(cs).CountPrefix(guaranteed_);
 }
 
 std::size_t MembershipView::CountAdmissible(const Constraint& c) const {
-  const util::Bitset& pool = cluster_.Satisfying(c);
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < guaranteed_; ++i) {
-    if (pool.Test(i)) ++count;
-  }
-  return count;
+  return cluster_.Satisfying(c).CountPrefix(guaranteed_);
 }
 
 MachineId MembershipView::SampleEligible(const ConstraintSet& cs,

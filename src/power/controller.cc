@@ -17,6 +17,16 @@ constexpr double kWaitClamp = 1e6;
 constexpr double kUtilAlpha = 0.2;
 }  // namespace
 
+double MedianWait(std::size_t zeros, std::vector<double>& nonzero) {
+  // Waits are >= 0, so the zeros sort first: the median is 0 while they
+  // reach the middle slot, and otherwise the right rank among the rest.
+  const std::size_t mid = (zeros + nonzero.size()) / 2;
+  if (mid < zeros || nonzero.empty()) return 0.0;
+  const auto it = nonzero.begin() + static_cast<std::ptrdiff_t>(mid - zeros);
+  std::nth_element(nonzero.begin(), it, nonzero.end());
+  return *it;
+}
+
 PowerController::PowerController(sim::Engine& engine,
                                  sched::SchedulerBase& scheduler,
                                  cluster::MembershipView& view,
@@ -47,7 +57,8 @@ void PowerController::Tick() {
 
 PowerController::FleetSample PowerController::Sample(double now) {
   FleetSample fleet;
-  std::vector<double> waits;
+  std::size_t zero_waits = 0;
+  nonzero_waits_.clear();
   for (std::size_t id = 0; id < view_.size(); ++id) {
     if (!view_.Bindable(id)) continue;
     const sched::WorkerState& w = scheduler_.worker_state(id);
@@ -60,8 +71,13 @@ PowerController::FleetSample PowerController::Sample(double now) {
     }
     // A drained worker's estimator cache still shows its last busy period,
     // but its true wait for a new arrival is ~0 — count it as such.
-    waits.push_back(
-        occupied ? std::min(w.estimator.EstimateWait(), kWaitClamp) : 0.0);
+    const double wait =
+        occupied ? std::min(w.estimator.EstimateWait(), kWaitClamp) : 0.0;
+    if (wait == 0.0) {
+      ++zero_waits;
+    } else {
+      nonzero_waits_.push_back(wait);
+    }
     util_ewma_[id] += kUtilAlpha * ((occupied ? 1.0 : 0.0) - util_ewma_[id]);
     fleet.util_sum += util_ewma_[id];
   }
@@ -70,12 +86,7 @@ PowerController::FleetSample PowerController::Sample(double now) {
   // awake fleet breaching the wake threshold. The median keeps a few
   // saturated stragglers from drowning the signal: tasks queued behind one
   // long-running machine are not a reason to wake the fleet.
-  if (!waits.empty()) {
-    const auto mid =
-        waits.begin() + static_cast<std::ptrdiff_t>(waits.size() / 2);
-    std::nth_element(waits.begin(), mid, waits.end());
-    fleet.median_wait = *mid;
-  }
+  fleet.median_wait = MedianWait(zero_waits, nonzero_waits_);
   fleet.pressure =
       (fleet.awake > 0 && fleet.occupied == fleet.awake) ||
       fleet.median_wait > policy_.wake_wait_factor * policy_.target_wait;
@@ -120,12 +131,18 @@ void PowerController::WakePass(double now, bool pressure) {
   if (candidates.empty()) return;
   // Hot-predicate coverage first, then the cheapest wake, then lowest id —
   // the wake-cost penalty is how probe-plane economics reach this decision.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.hot_score != b.hot_score) return a.hot_score > b.hot_score;
-              if (a.penalty != b.penalty) return a.penalty < b.penalty;
-              return a.id < b.id;
-            });
+  // A total order, so ranking only the wake_step front is exact.
+  const auto front = candidates.begin() +
+                     static_cast<std::ptrdiff_t>(
+                         std::min(policy_.wake_step, candidates.size()));
+  std::partial_sort(candidates.begin(), front, candidates.end(),
+                    [](const Candidate& a, const Candidate& b) {
+                      if (a.hot_score != b.hot_score) {
+                        return a.hot_score > b.hot_score;
+                      }
+                      if (a.penalty != b.penalty) return a.penalty < b.penalty;
+                      return a.id < b.id;
+                    });
   std::size_t wakes = 0;
   for (const Candidate& c : candidates) {
     if (wakes >= policy_.wake_step) break;

@@ -57,6 +57,11 @@ class PhoenixScheduler;
 
 namespace phoenix::power {
 
+/// The median (the element at index size/2 once sorted) of a wait list
+/// made of `zeros` zero waits and the positive waits in `nonzero`, which
+/// it reorders. Selects among the non-zero waits only.
+double MedianWait(std::size_t zeros, std::vector<double>& nonzero);
+
 class PowerController {
  public:
   /// `park_limit`: only machines with id < park_limit are park candidates
@@ -109,6 +114,8 @@ class PowerController {
   /// the controller's own utilization estimate (the worker-side M/G/1
   /// caches go stale the moment a worker drains).
   std::vector<double> util_ewma_;
+  /// This tick's non-zero awake waits; reused by Sample() across ticks.
+  std::vector<double> nonzero_waits_;
   Stats stats_;
 };
 

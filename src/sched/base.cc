@@ -49,10 +49,13 @@ SchedulerBase::SchedulerBase(sim::Engine& engine,
     // largest normalized capacity volume (ties: lowest id), so a clamped
     // demand is guaranteed a feasible host.
     double best_volume = -1.0;
+    mean_copies_.resize(cluster.size());
+    residual_spread_.resize(cluster.size());
     for (std::size_t i = 0; i < cluster.size(); ++i) {
       WorkerState& w = workers_[i];
       w.capacity = cluster::CapacityOf(cluster.machine(i));
       w.residual = w.capacity;
+      NoteResidual(w);
       double volume = 0;
       for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
         if (max_capacity_.dim(d) > 0) {
@@ -680,15 +683,7 @@ void SchedulerBase::HeartbeatTick(std::uint32_t shard) {
     std::size_t live = 0;
     for (const WorkerState& w : workers_) {
       if (w.failed || !Bindable(w.id)) continue;
-      double lo_frac = 1.0;
-      double hi_frac = 0.0;
-      for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
-        if (w.capacity.dim(d) <= 0) continue;
-        const double frac = w.residual.dim(d) / w.capacity.dim(d);
-        lo_frac = std::min(lo_frac, frac);
-        hi_frac = std::max(hi_frac, frac);
-      }
-      spread_sum += std::max(0.0, hi_frac - lo_frac);
+      spread_sum += residual_spread_[w.id];
       ++live;
     }
     if (live > 0) {
@@ -1767,10 +1762,16 @@ void SchedulerBase::ClampDemandToHostable(JobRuntime& job) {
   // largest member (normalized volume, ties: lowest id) and clamp the
   // demand component-wise to that machine's capacity when nothing in the
   // pool can host the original request.
+  // Capacity is static, so the pool is every satisfying machine, failed
+  // and inactive ones included. Walked off the cached bitset: an id list
+  // per constraint set would be memory no other path of a view-attached
+  // run keeps.
+  const util::Bitset& pool = cluster_.Satisfying(job.effective);
   const packing::ResourceVector* best = nullptr;
   double best_volume = -1.0;
-  for (const WorkerState& w : workers_) {
-    if (!cluster_.machine(w.id).Satisfies(job.effective)) continue;
+  for (std::size_t id = pool.NextSetBit(0); id < pool.size();
+       id = pool.NextSetBit(id + 1)) {
+    const WorkerState& w = workers_[id];
     if (job.demand.FitsIn(w.capacity)) return;  // already hostable
     double volume = 0;
     for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
@@ -1795,6 +1796,7 @@ void SchedulerBase::ClaimPackedCapacity(WorkerState& worker,
                                         const packing::ResourceVector& demand,
                                         double copies, JobId job) {
   worker.residual.AddScaled(demand, -copies);
+  NoteResidual(worker);
   if (sinks_.empty()) return;
   for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
     if (demand.dim(d) <= 0) continue;
@@ -1807,12 +1809,26 @@ void SchedulerBase::ReleasePackedCapacity(WorkerState& worker,
                                           const packing::ResourceVector& demand,
                                           double copies, JobId job) {
   worker.residual.AddScaled(demand, copies);
+  NoteResidual(worker);
   if (sinks_.empty()) return;
   for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
     if (demand.dim(d) <= 0) continue;
     Emit(EventType::kPackRelease, job, worker.id,
          static_cast<std::uint32_t>(d), demand.dim(d) * copies);
   }
+}
+
+void SchedulerBase::NoteResidual(const WorkerState& worker) {
+  mean_copies_[worker.id] = worker.residual.CopiesOf(mean_demand_);
+  double lo_frac = 1.0;
+  double hi_frac = 0.0;
+  for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
+    if (worker.capacity.dim(d) <= 0) continue;
+    const double frac = worker.residual.dim(d) / worker.capacity.dim(d);
+    lo_frac = std::min(lo_frac, frac);
+    hi_frac = std::max(hi_frac, frac);
+  }
+  residual_spread_[worker.id] = std::max(0.0, hi_frac - lo_frac);
 }
 
 MachineId SchedulerBase::PickBestPacked(
@@ -1889,7 +1905,7 @@ double SchedulerBase::PackedSupplyScale() const {
   for (const WorkerState& w : workers_) {
     if (w.failed || !Bindable(w.id)) continue;
     ++live;
-    copies += static_cast<double>(w.residual.CopiesOf(mean_demand_));
+    copies += static_cast<double>(mean_copies_[w.id]);
   }
   if (live == 0) return 1.0;
   // Floored: a saturated fleet still advertises a sliver of supply, so the
@@ -1923,10 +1939,11 @@ void SchedulerBase::PlaceGang(JobId id) {
   // degrade it to the normal (non-atomic) placement path instead of
   // retrying forever. Evaluated per attempt so a fleet shrunk by failures
   // degrades rather than stalls; the trade is availability over atomicity.
+  const std::vector<std::uint32_t>& pool = EligibleIds(job.effective);
   std::uint64_t potential = 0;
-  for (const WorkerState& w : workers_) {
-    if (w.failed || !Bindable(w.id)) continue;
-    if (!cluster_.machine(w.id).Satisfies(job.effective)) continue;
+  for (const std::uint32_t m : pool) {
+    const WorkerState& w = workers_[m];
+    if (w.failed) continue;
     potential += w.capacity.CopiesOf(job.demand);
     if (potential >= members) break;
   }
@@ -1941,32 +1958,49 @@ void SchedulerBase::PlaceGang(JobId id) {
   }
   // Reserve member-by-member, claiming as we go: each pick sees the residual
   // left by the previous members, so one machine hosts several members only
-  // when its vector truly admits them. Deterministic fleet scan (no
-  // sampling): gang placement is rare and all-or-nothing, so it pays for a
-  // full view instead of perturbing the shared RNG stream.
+  // when its vector truly admits them. Deterministic scan of the eligible
+  // pool (no sampling): gang placement is rare and all-or-nothing, so it
+  // pays for a full view instead of perturbing the shared RNG stream. The
+  // pool is scored once; each member is the heap top (best score, then
+  // lowest id), and only the machine it claimed is re-scored, since no
+  // other residual moves during the round.
+  struct Scored {
+    double score;
+    MachineId id;
+  };
+  const auto ranks_below = [](const Scored& a, const Scored& b) {
+    if (a.score != b.score) return a.score < b.score;
+    return a.id > b.id;
+  };
+  std::vector<Scored> heap;
+  for (const std::uint32_t m : pool) {
+    const WorkerState& w = workers_[m];
+    if (w.failed) continue;
+    const double s = packing::PackScore(job.demand, w.residual, w.capacity,
+                                        config_.packing);
+    if (s != packing::kNoFit) heap.push_back({s, m});
+  }
+  std::make_heap(heap.begin(), heap.end(), ranks_below);
   std::vector<MachineId> targets;
   targets.reserve(members);
   bool ok = true;
   for (std::uint32_t m = 0; m < members; ++m) {
-    MachineId best = cluster::kInvalidMachine;
-    double best_score = packing::kNoFit;
-    for (const WorkerState& w : workers_) {
-      if (w.failed || !Bindable(w.id)) continue;
-      if (!cluster_.machine(w.id).Satisfies(job.effective)) continue;
-      const double s = packing::PackScore(job.demand, w.residual, w.capacity,
-                                          config_.packing);
-      if (s == packing::kNoFit) continue;
-      if (best == cluster::kInvalidMachine || s > best_score) {
-        best_score = s;
-        best = w.id;
-      }
-    }
-    if (best == cluster::kInvalidMachine) {
+    if (heap.empty()) {
       ok = false;
       break;
     }
-    ClaimPackedCapacity(workers_[best], job.demand, 1.0, id);
+    std::pop_heap(heap.begin(), heap.end(), ranks_below);
+    const MachineId best = heap.back().id;
+    heap.pop_back();
+    WorkerState& w = workers_[best];
+    ClaimPackedCapacity(w, job.demand, 1.0, id);
     targets.push_back(best);
+    const double s = packing::PackScore(job.demand, w.residual, w.capacity,
+                                        config_.packing);
+    if (s != packing::kNoFit) {
+      heap.push_back({s, best});
+      std::push_heap(heap.begin(), heap.end(), ranks_below);
+    }
   }
   if (!ok) {
     // Not enough simultaneous capacity: release the partial claims and retry
@@ -2106,15 +2140,14 @@ void SchedulerBase::EvictGangReservations(WorkerState& worker) {
 
 // ---- Malleable jobs: width from the elastic supply signal ------------------
 
-std::uint32_t SchedulerBase::PackedFreeCopies(const JobRuntime& job) const {
+std::uint32_t SchedulerBase::PackedFreeCopies(const JobRuntime& job,
+                                              std::uint32_t enough) const {
   std::uint64_t total = 0;
-  for (const WorkerState& w : workers_) {
-    if (w.failed || !Bindable(w.id)) continue;
-    if (!cluster_.machine(w.id).Satisfies(job.effective)) continue;
+  for (const std::uint32_t m : EligibleIds(job.effective)) {
+    const WorkerState& w = workers_[m];
+    if (w.failed) continue;
     total += w.residual.CopiesOf(job.demand);
-    if (total > std::numeric_limits<std::uint32_t>::max()) {
-      return std::numeric_limits<std::uint32_t>::max();
-    }
+    if (total >= enough) return enough;
   }
   return static_cast<std::uint32_t>(total);
 }
@@ -2124,7 +2157,10 @@ void SchedulerBase::PlaceMalleable(JobId id) {
   ++counters_.malleable_jobs;
   malleable_active_.push_back(id);
   const auto max_width = static_cast<std::uint32_t>(job.num_tasks());
-  std::uint32_t width = PackedFreeCopies(job);
+  // Counting past both bounds below cannot change the width or the floor
+  // hit, so the count stops at the larger one.
+  std::uint32_t width =
+      PackedFreeCopies(job, std::max(max_width, job.min_parallel()));
   if (width < job.min_parallel()) {
     width = job.min_parallel();
     ++counters_.malleable_min_hits;
@@ -2152,8 +2188,13 @@ void SchedulerBase::RefreshMalleableWidths() {
     malleable_active_[keep++] = id;
     const auto max_width = static_cast<std::uint32_t>(job.num_tasks());
     // Expand into free supply; shrink passively when it evaporates (inflight
-    // work is never killed — the top-up loop just stops issuing).
-    std::uint32_t width = job.malleable_inflight + PackedFreeCopies(job);
+    // work is never killed — the top-up loop just stops issuing). As at
+    // placement, the count stops where it can no longer move the width
+    // (inflight never exceeds max_width: top-ups stop at the width).
+    const std::uint32_t enough = std::max(max_width, job.min_parallel());
+    std::uint32_t width =
+        job.malleable_inflight +
+        PackedFreeCopies(job, enough - job.malleable_inflight);
     if (width < job.min_parallel()) {
       width = job.min_parallel();
       ++counters_.malleable_min_hits;

@@ -339,6 +339,14 @@ class SchedulerBase {
     return membership_ == nullptr ? cluster_.Satisfying(cs)
                                   : membership_->EligiblePool(cs);
   }
+  /// The eligible pool as an ascending id list, memoized alongside it. The
+  /// view drops its lists on every membership change, so never hold one
+  /// across a wake, park, drain or commission.
+  const std::vector<std::uint32_t>& EligibleIds(
+      const cluster::ConstraintSet& cs) const {
+    return membership_ == nullptr ? cluster_.SatisfyingIds(cs)
+                                  : membership_->EligibleIds(cs);
+  }
   /// Pool size admission control must validate against. Under elasticity
   /// this is the guaranteed base fleet (which never drains), so an admitted
   /// job can never be stranded by later membership churn.
@@ -554,12 +562,16 @@ class SchedulerBase {
   /// satisfying the job's effective constraints can host its demand.
   void ClampDemandToHostable(JobRuntime& job);
   /// Residual ledger moves, paired with the auditor's claim/release events.
+  /// The only writers of a residual after construction, so they also keep
+  /// the machine's mean_copies_ and residual_spread_ current.
   void ClaimPackedCapacity(WorkerState& worker,
                            const packing::ResourceVector& demand,
                            double copies, trace::JobId job);
   void ReleasePackedCapacity(WorkerState& worker,
                              const packing::ResourceVector& demand,
                              double copies, trace::JobId job);
+  /// Recomputes the two per-machine values read off `worker.residual`.
+  void NoteResidual(const WorkerState& worker);
   /// Best packing score among live fitting candidates (lowest id ties);
   /// least-loaded among live ones when nothing fits (the task queues).
   cluster::MachineId PickBestPacked(
@@ -585,8 +597,10 @@ class SchedulerBase {
   /// Heartbeat pass (fleet tick only): recompute every active malleable
   /// job's width from the free-capacity estimate.
   void RefreshMalleableWidths();
-  /// Whole copies of the job's demand the bindable fleet could start now.
-  std::uint32_t PackedFreeCopies(const JobRuntime& job) const;
+  /// Whole copies of the job's demand the bindable fleet could start now,
+  /// counted up to `enough` (the walk stops there).
+  std::uint32_t PackedFreeCopies(const JobRuntime& job,
+                                 std::uint32_t enough) const;
 
   // ---- Federation (all unreachable when federation_ is null) --------------
 
@@ -745,6 +759,11 @@ class SchedulerBase {
   /// Largest-volume machine's capacity: the clamp target for demands that
   /// fit no machine (the reject-then-clamp admission path).
   packing::ResourceVector clamp_capacity_;
+  /// Per machine, from its residual (see NoteResidual): whole mean-demand
+  /// copies it could still start (PackedSupplyScale), and the spread
+  /// between its most- and least-consumed dimension (fragmentation).
+  std::vector<std::uint32_t> mean_copies_;
+  std::vector<double> residual_spread_;
   /// Packed-run integrals behind the BuildReport packing block:
   /// core-seconds actually executed, and the heartbeat-sampled
   /// fragmentation (max-min residual-fraction spread, fleet mean).

@@ -70,10 +70,37 @@ class Bitset {
     return n;
   }
 
+  /// Number of set bits among the first `n` (n <= size()).
+  std::size_t CountPrefix(std::size_t n) const {
+    PHOENIX_DCHECK(n <= size_);
+    std::size_t count = 0;
+    const std::size_t full = n >> 6;
+    for (std::size_t w = 0; w < full; ++w) {
+      count += static_cast<std::size_t>(std::popcount(words_[w]));
+    }
+    if ((n & 63) != 0) {
+      const std::uint64_t mask = (1ULL << (n & 63)) - 1;
+      count += static_cast<std::size_t>(std::popcount(words_[full] & mask));
+    }
+    return count;
+  }
+
   bool Any() const {
     for (const auto w : words_)
       if (w != 0) return true;
     return false;
+  }
+
+  /// Index of the first set bit at or after `from`, or size() if none.
+  std::size_t NextSetBit(std::size_t from) const {
+    if (from >= size_) return size_;
+    std::size_t w = from >> 6;
+    std::uint64_t word = words_[w] & (~0ULL << (from & 63));
+    while (word == 0) {
+      if (++w == words_.size()) return size_;
+      word = words_[w];
+    }
+    return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
   }
 
   /// Appends the indices of all set bits to `out`.

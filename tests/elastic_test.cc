@@ -1,8 +1,9 @@
-// Elastic cluster lifecycle tests: the MembershipView state machine and
-// eligibility caches, the determinism contract (an all-active view is
-// RNG-identical to the membership-free path, elastic runs are bit-identical
-// across thread budgets), the elasticity controller's three policies, and
-// the auditor's lifecycle rules. Registered under the "elastic" ctest label
+// Elastic cluster lifecycle tests: the MembershipView state machine,
+// eligibility caches and base-fleet admissible counts, the determinism
+// contract (an all-active view is RNG-identical to the membership-free
+// path, elastic runs are bit-identical across thread budgets), the
+// elasticity controller's three policies, and the auditor's lifecycle
+// rules. Registered under the "elastic" ctest label
 // (scripts/check.sh runs `ctest -L elastic` as a stage).
 #include <gtest/gtest.h>
 
@@ -153,6 +154,34 @@ TEST(MembershipView, AdmissibleCountIgnoresChurn) {
   }
   EXPECT_EQ(view.CountAdmissible(cs), admissible);
   EXPECT_EQ(view.CountAdmissible(cs[0]), admissible_pred);
+}
+
+TEST(MembershipView, AdmissibleCountMatchesBitByBitCount) {
+  // The base fleet is the id prefix [0, guaranteed); its size crosses every
+  // word boundary case (a view's base fleet is never empty, so n >= 1).
+  const std::size_t fleet = 130;
+  const auto cl = MakeUniverse(fleet, 13);
+  cluster::ConstraintSet cs;
+  cs.Add({cluster::Attr::kNumCores, cluster::ConstraintOp::kGreater, 4, true});
+  cs.Add({cluster::Attr::kMinMemory, cluster::ConstraintOp::kGreater, 8, true});
+  std::size_t fleet_count = 0;
+  for (cluster::MachineId id = 0; id < fleet; ++id) {
+    if (cl.machine(id).Satisfies(cs)) ++fleet_count;
+  }
+  ASSERT_GT(fleet_count, 0u);
+  ASSERT_LT(fleet_count, fleet);  // a split pool, not all or nothing
+  for (const std::size_t n : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                              std::size_t{65}, fleet}) {
+    const cluster::MembershipView view(cl, n);
+    std::size_t want_set = 0;
+    std::size_t want_pred = 0;
+    for (cluster::MachineId id = 0; id < n; ++id) {
+      if (cl.machine(id).Satisfies(cs)) ++want_set;
+      if (cl.machine(id).Satisfies(cs[0])) ++want_pred;
+    }
+    EXPECT_EQ(view.CountAdmissible(cs), want_set) << "n=" << n;
+    EXPECT_EQ(view.CountAdmissible(cs[0]), want_pred) << "n=" << n;
+  }
 }
 
 // ---- Determinism contract -------------------------------------------------

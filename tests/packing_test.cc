@@ -5,16 +5,19 @@
 // shape bounds, closed-form mean), attribute-derived machine capacities,
 // the arena allocator's recycling, the auditor's packed-capacity and
 // gang-atomicity rules against synthetic event streams (leaks, over-commit,
-// open rounds), and end-to-end packed runs: audit-clean gang/malleable
-// mixes, inert knobs while disabled, demand clamping when no machine could
-// ever host a job, gang aborts under a chaotic fabric, malleable width
-// floors, infeasible-gang degradation, and bit-identity across thread
+// open rounds), a gang's reserved machines against a full scan per member,
+// and end-to-end packed runs: audit-clean gang/malleable mixes, inert knobs
+// while disabled, demand clamping when no machine could ever host a job,
+// gang aborts under a chaotic fabric, malleable width floors,
+// infeasible-gang degradation, and bit-identity across thread
 // budgets. Registered under the "packing" and "concurrency" ctest labels
 // (scripts/check.sh runs `ctest -L packing`; the TSan build runs
 // `ctest -L concurrency`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cluster/builder.h"
@@ -27,6 +30,8 @@
 #include "packing/vector.h"
 #include "runner/experiment.h"
 #include "runner/parallel.h"
+#include "runner/registry.h"
+#include "sim/engine.h"
 #include "trace/generators.h"
 #include "util/arena.h"
 
@@ -423,6 +428,105 @@ TEST(GangAuditTest, CatchesCommitWithoutReserve) {
   commit.job = 1;
   audit.OnEvent(commit);
   EXPECT_FALSE(audit.ok());
+}
+
+// ---- Gang member selection -------------------------------------------------
+
+/// The kGangReserve events of a run: (machine, members reserved there), in
+/// emission order.
+class GangReserveLog : public obs::EventSink {
+ public:
+  void OnEvent(const obs::Event& e) override {
+    if (e.type == obs::EventType::kGangReserve) {
+      reserved.emplace_back(e.machine, e.task);
+    }
+  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> reserved;
+};
+
+TEST(GangPlacement, ReserveListMatchesFullScanPerMember) {
+  // An idle fleet of two machine shapes, interleaved, so each machine's
+  // score ties with half the fleet's and the tie-break decides the order.
+  // More members than machines, so machines take several members each.
+  const auto universe = MakeUniverse(4, 43);
+  std::vector<cluster::Machine> machines;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    cluster::Machine m = universe.machine(0);
+    m.id = i;
+    m.rack = i / 4;
+    m.Set(cluster::Attr::kNumCores, i % 2 == 0 ? 32 : 16);
+    m.Set(cluster::Attr::kMinMemory, 128);
+    m.Set(cluster::Attr::kPlatformFamily, 3);
+    machines.push_back(m);
+  }
+  const cluster::Cluster cl(std::move(machines));
+
+  const std::uint32_t members = 12;
+  trace::Job gang;
+  gang.id = 0;
+  gang.submit_time = 0;
+  gang.task_durations.assign(members, 30.0);
+  gang.gang = true;
+  gang.req_cpu = 0.2;  // fractions of the fleet's largest machine
+  gang.req_mem = 0.2;
+  trace::Trace t("gang", {gang});
+  t.set_short_cutoff(1.0);
+
+  sim::Engine engine;
+  sched::SchedulerConfig sc;
+  sc.seed = 43;
+  sc.packing.enabled = true;
+  const auto sched = runner::MakeScheduler("phoenix", engine, cl, sc);
+  GangReserveLog log;
+  sched->AttachSink(&log);
+  sched->SubmitTrace(t);
+  engine.Run();
+  const auto report = sched->BuildReport();
+  ASSERT_EQ(report.counters.gang_commits, 1u);
+  ASSERT_EQ(report.counters.gang_aborts, 0u);
+
+  // Reference: a full scan of the fleet for every member, taking the first
+  // best score in id order and claiming it before the next member.
+  const ResourceVector max_cap = cluster::MaxCapacity(cl);
+  const ResourceVector demand =
+      Vec(0.2 * max_cap[PackDim::kCores], 0.2 * max_cap[PackDim::kMemoryGb], 0);
+  std::vector<ResourceVector> residual;
+  for (cluster::MachineId id = 0; id < cl.size(); ++id) {
+    residual.push_back(cluster::CapacityOf(cl.machine(id)));
+  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> want;
+  for (std::uint32_t m = 0; m < members; ++m) {
+    std::uint32_t best = cluster::kInvalidMachine;
+    double best_score = packing::kNoFit;
+    std::size_t tied = 0;
+    for (cluster::MachineId id = 0; id < cl.size(); ++id) {
+      const double s =
+          packing::PackScore(demand, residual[id],
+                             cluster::CapacityOf(cl.machine(id)), sc.packing);
+      if (s == packing::kNoFit) continue;
+      if (best == cluster::kInvalidMachine || s > best_score) {
+        best = id;
+        best_score = s;
+        tied = 1;
+      } else if (s == best_score) {
+        ++tied;
+      }
+    }
+    ASSERT_NE(best, cluster::kInvalidMachine);
+    if (m == 0) {
+      EXPECT_GE(tied, 2u) << "the idle fleet must tie";
+    }
+    residual[best].AddScaled(demand, -1.0);
+    auto it = std::find_if(want.begin(), want.end(),
+                           [best](const auto& r) { return r.first == best; });
+    if (it == want.end()) {
+      want.emplace_back(best, 1);
+    } else {
+      ++it->second;
+    }
+  }
+  EXPECT_LT(want.size(), members);  // some machine took several members
+  EXPECT_EQ(log.reserved, want);
 }
 
 // ---- End-to-end packed runs -----------------------------------------------

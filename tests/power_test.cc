@@ -1,5 +1,6 @@
 // Energy/power subsystem tests: the machine power model invariants, the
-// EnergyMeter dwell integral, park/wake lifecycle transitions under
+// EnergyMeter dwell integral, the controller's median wait against a
+// full-list selection, park/wake lifecycle transitions under
 // scheduler control (veto while holding work, double-park idempotency,
 // wake during drain), the auditor's power rules (transition legality,
 // energy conservation), and end-to-end powered runs (audit-clean, energy
@@ -8,6 +9,7 @@
 // the "power" ctest label (scripts/check.sh runs `ctest -L power`).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "cluster/membership.h"
 #include "obs/audit.h"
 #include "power/config.h"
+#include "power/controller.h"
 #include "power/manager.h"
 #include "power/meter.h"
 #include "power/model.h"
@@ -23,6 +26,7 @@
 #include "runner/registry.h"
 #include "sim/engine.h"
 #include "trace/generators.h"
+#include "util/rng.h"
 
 namespace phoenix {
 namespace {
@@ -111,6 +115,32 @@ TEST(EnergyMeter, ReadsAreConstAndRepeatable) {
   // previously read horizon.
   meter.SetWatts(0, 25.0, 0.0);
   EXPECT_DOUBLE_EQ(meter.TotalJoules(25.0), 42.0 * 10 + 7.0 * 10);
+}
+
+// ---- Controller fleet signals ----------------------------------------------
+
+TEST(PowerSignals, MedianWaitMatchesFullListSelection) {
+  // Zero waits below, at and above half the awake fleet, for odd and even
+  // fleets: the non-zero selection must land on the element nth_element
+  // picks over the whole list.
+  util::Rng rng(5);
+  for (const std::size_t fleet : {std::size_t{9}, std::size_t{10}}) {
+    for (std::size_t zeros = 0; zeros <= fleet; ++zeros) {
+      std::vector<double> nonzero;
+      for (std::size_t i = zeros; i < fleet; ++i) {
+        // Repeated values too, so ties are covered.
+        nonzero.push_back(1.0 + static_cast<double>(rng.NextBounded(4)));
+      }
+      std::vector<double> all(zeros, 0.0);
+      all.insert(all.end(), nonzero.begin(), nonzero.end());
+      const auto mid = all.begin() + static_cast<std::ptrdiff_t>(fleet / 2);
+      std::nth_element(all.begin(), mid, all.end());
+      EXPECT_EQ(power::MedianWait(zeros, nonzero), *mid)
+          << "fleet=" << fleet << " zeros=" << zeros;
+    }
+  }
+  std::vector<double> none;
+  EXPECT_EQ(power::MedianWait(0, none), 0.0);
 }
 
 // ---- Park/wake transitions under scheduler control ------------------------

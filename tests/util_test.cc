@@ -508,6 +508,30 @@ TEST(Bitset, CountAndAny) {
   EXPECT_TRUE(b.Any());
 }
 
+TEST(Bitset, CountPrefixMatchesBitByBitCount) {
+  // Every word boundary case: empty, one bit, a word but one, a whole word,
+  // a word and one, and the full (non-word-multiple) size.
+  const std::size_t size = 130;
+  Bitset b(size);
+  Rng rng(11);
+  for (std::size_t i = 0; i < size; ++i) {
+    if (rng.Bernoulli(0.5)) b.Set(i);
+  }
+  b.Set(0);
+  b.Set(63);
+  b.Set(64);
+  b.Set(size - 1);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                              std::size_t{64}, std::size_t{65}, size}) {
+    std::size_t expected = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (b.Test(i)) ++expected;
+    }
+    EXPECT_EQ(b.CountPrefix(n), expected) << "n=" << n;
+  }
+  EXPECT_EQ(b.CountPrefix(size), b.Count());
+}
+
 TEST(Bitset, SetAllRespectsSize) {
   Bitset b(70);
   b.SetAll();
@@ -545,6 +569,21 @@ TEST(Bitset, CollectSetBits) {
   std::vector<std::uint32_t> out;
   b.CollectSetBits(out);
   EXPECT_EQ(out, (std::vector<std::uint32_t>{5, 63, 64, 199}));
+}
+
+TEST(Bitset, NextSetBitWalksTheSetBitsInOrder) {
+  Bitset b(200);
+  for (const std::size_t i : {0, 5, 63, 64, 127, 128, 199}) b.Set(i);
+  std::vector<std::uint32_t> walked;
+  for (std::size_t i = b.NextSetBit(0); i < b.size(); i = b.NextSetBit(i + 1)) {
+    walked.push_back(static_cast<std::uint32_t>(i));
+  }
+  std::vector<std::uint32_t> collected;
+  b.CollectSetBits(collected);
+  EXPECT_EQ(walked, collected);
+  EXPECT_EQ(b.NextSetBit(6), 63u);
+  EXPECT_EQ(b.NextSetBit(200), 200u);
+  EXPECT_EQ(Bitset(70).NextSetBit(0), 70u);
 }
 
 TEST(Bitset, SampleSetBitReturnsOnlySetBits) {
