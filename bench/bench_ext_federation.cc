@@ -32,7 +32,9 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
   const std::string json_path = flags.GetString("json", "");
-  auto o = bench::ParseBenchOptions(flags, 200, 2);
+  const std::vector<std::uint32_t> shard_counts = {1, 2, 4};
+  auto o = bench::ParseBenchOptions(flags, 200, 2, {},
+                                    {.cell_shards = shard_counts.back()});
   if (!flags.Provided("load")) o.load = 0.5;
   // Correctness evidence rides in every cell unless explicitly disabled.
   if (!flags.Provided("audit")) o.obs.audit = true;
@@ -41,8 +43,6 @@ int main(int argc, char** argv) {
 
   const auto trace = bench::MakeTrace("google", o);
   const auto cluster = bench::MakeCluster(o.nodes, o.seed);
-
-  const std::vector<std::uint32_t> shard_counts = {1, 2, 4};
   const std::vector<double> gossip_periods = {1.5, 9.0};
 
   bench::JsonEmitter emitter(

@@ -16,7 +16,7 @@ namespace {
 void PrintTraceCdf(const std::string& profile, const bench::BenchOptions& o) {
   auto opts = o;
   if (profile == "yahoo") {
-    opts.nodes = std::max<std::size_t>(o.nodes / 3, 8);
+    opts.nodes = bench::YahooNodes(o.nodes);
     opts.jobs = 50 * opts.nodes;
   }
   const auto constrained = bench::MakeTrace(profile, opts);
@@ -57,7 +57,8 @@ void PrintTraceCdf(const std::string& profile, const bench::BenchOptions& o) {
 int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
-  const auto o = bench::ParseBenchOptions(flags, 300, 1);
+  const auto o = bench::ParseBenchOptions(flags, 300, 1, {},
+                                          {.cell_nodes = bench::YahooNodes});
   bench::PrintHeader("Figure 2: job queuing time CDFs", o,
                      "Fig 2a (Yahoo), Fig 2b (Cloudera)");
   PrintTraceCdf("yahoo", o);

@@ -12,7 +12,8 @@ using namespace phoenix;
 int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
-  const auto o = bench::ParseBenchOptions(flags, 300, 1);
+  const auto o = bench::ParseBenchOptions(flags, 300, 1, {},
+                                          {.cell_nodes = bench::YahooNodes});
   bench::PrintHeader(
       "Figure 4: constrained vs unconstrained short-job response (Eagle-C)",
       o, "Fig 4a/4b/4c");
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
   for (const std::string profile : {"yahoo", "cloudera", "google"}) {
     auto opts = o;
     if (profile == "yahoo") {
-      opts.nodes = std::max<std::size_t>(o.nodes / 3, 8);
+      opts.nodes = bench::YahooNodes(o.nodes);
       opts.jobs = 50 * opts.nodes;
     }
     const auto trace = bench::MakeTrace(profile, opts);

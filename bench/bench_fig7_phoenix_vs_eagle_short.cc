@@ -12,7 +12,8 @@ using namespace phoenix;
 int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
-  const auto o = bench::ParseBenchOptions(flags, 300, 2);
+  const auto o = bench::ParseBenchOptions(flags, 300, 2, {},
+                                          {.cell_nodes = bench::YahooNodes});
   bench::PrintHeader("Figure 7: Phoenix vs Eagle-C, short jobs", o,
                      "Fig 7a/7b/7c");
   for (const std::string profile : {"yahoo", "cloudera", "google"}) {

@@ -11,7 +11,8 @@ using namespace phoenix;
 int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
-  const auto o = bench::ParseBenchOptions(flags, 300, 2);
+  const auto o = bench::ParseBenchOptions(flags, 300, 2, {},
+                                          {.cell_nodes = bench::YahooNodes});
   bench::PrintHeader("Figure 8: Phoenix vs Eagle-C, long jobs", o,
                      "Fig 8a/8b/8c");
   for (const std::string profile : {"yahoo", "cloudera", "google"}) {

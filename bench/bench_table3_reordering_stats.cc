@@ -14,7 +14,8 @@ using namespace phoenix;
 int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
-  const auto o = bench::ParseBenchOptions(flags, 300, 1);
+  const auto o = bench::ParseBenchOptions(flags, 300, 1, {},
+                                          {.cell_nodes = bench::YahooNodes});
   bench::PrintHeader("Table III: CRV reordering statistics", o,
                      "Table III (Phoenix over Yahoo/Cloudera/Google)");
 
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
     // nodes the other traces used.
     auto opts = o;
     if (profile == "yahoo") {
-      opts.nodes = std::max<std::size_t>(o.nodes / 3, 8);
+      opts.nodes = bench::YahooNodes(o.nodes);
       opts.jobs = 50 * opts.nodes;
     }
     const auto trace = bench::MakeTrace(profile, opts);

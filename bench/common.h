@@ -146,16 +146,34 @@ struct BenchOptions {
   std::string trace_google;
 };
 
+/// The fleet of the yahoo cells: a third of --nodes (at least 8), as the
+/// paper runs the Yahoo trace on 5,000 machines against 15,000.
+inline std::size_t YahooNodes(std::size_t nodes) {
+  return std::max<std::size_t>(nodes / 3, 8);
+}
+
+/// What a bench builds besides one --nodes fleet, for the checks that
+/// depend on it: the fleet of its other-sized cells as a function of
+/// --nodes (null: none), and the most shards a cell runs whatever --shards
+/// says (0: none beyond --shards).
+struct BenchFleet {
+  std::size_t (*cell_nodes)(std::size_t nodes) = nullptr;
+  std::uint32_t cell_shards = 0;
+};
+
 /// Parses the common flags. Bad input is a usage error, never an abort deep
 /// in a constructor: every problem is collected, each naming its flag, and
 /// the parse exits 1 once listing all of them (the constructors keep their
 /// checks as internal asserts that a parsed config never trips). `swept`
 /// names the common flags the bench's own sweep sets in every cell; giving
 /// one is a problem too, since the sweep would silently override it.
+/// `fleet` describes the smaller fleets and fixed shard counts of the
+/// bench's cells, which every shard count must fit.
 inline BenchOptions ParseBenchOptions(
     util::Flags& flags, std::size_t default_nodes = 300,
     std::size_t default_runs = 1,
-    std::initializer_list<const char*> swept = {}) {
+    std::initializer_list<const char*> swept = {},
+    const BenchFleet& fleet = {}) {
   std::vector<std::string> problems;
   const auto require = [&problems](bool ok, std::string problem) {
     if (!ok) problems.push_back(std::move(problem));
@@ -229,9 +247,25 @@ inline BenchOptions ParseBenchOptions(
   o.federation.staleness_bound =
       flags.GetDouble("stale-bound", o.federation.staleness_bound);
   require(o.federation.shards >= 1, "--shards must be >= 1");
-  require(o.federation.shards <= o.nodes,
-          util::StrFormat("--shards must be <= --nodes (got %zu > %zu)",
-                          o.federation.shards, o.nodes));
+  // Every shard needs a machine, in the smallest fleet a cell runs too.
+  const std::size_t smallest =
+      fleet.cell_nodes != nullptr
+          ? std::min(o.nodes, fleet.cell_nodes(o.nodes))
+          : o.nodes;
+  if (o.federation.shards > o.nodes) {
+    problems.push_back(
+        util::StrFormat("--shards must be <= --nodes (got %zu > %zu)",
+                        o.federation.shards, o.nodes));
+  } else if (o.federation.shards > smallest) {
+    problems.push_back(
+        util::StrFormat("--shards must be <= %zu, the smallest fleet this "
+                        "bench builds from --nodes=%zu (got %zu)",
+                        smallest, o.nodes, o.federation.shards));
+  }
+  require(fleet.cell_shards <= smallest,
+          util::StrFormat("--nodes must be >= %u: this bench runs %u-shard "
+                          "cells (got %zu)",
+                          fleet.cell_shards, fleet.cell_shards, o.nodes));
   require(o.federation.gossip_period > 0, "--gossip-period must be positive");
   require(o.federation.staleness_bound > 0, "--stale-bound must be positive");
   o.power.enabled = flags.GetBool("power", false);
@@ -402,15 +436,6 @@ inline runner::RepeatedRuns Run(const std::string& scheduler,
                                 const BenchOptions& o,
                                 const std::string& cell = "") {
   return runner::RepeatedRuns(t, cl, CellOptions(o, scheduler, cell), o.runs);
-}
-
-/// Equivalent paper-scale node count for a sweep multiplier (the paper
-/// sweeps 15,000 -> 19,000 workers; we sweep the same utilization axis by
-/// scaling the fleet against a fixed trace).
-inline std::string PaperNodesLabel(std::size_t base_nodes, double multiplier) {
-  return util::WithCommas(
-      static_cast<std::int64_t>(15000.0 * multiplier *
-                                (base_nodes > 0 ? 1.0 : 1.0)));
 }
 
 inline void PrintHeader(const char* title, const BenchOptions& o,

@@ -40,7 +40,7 @@ inline void RunNormalizedSweep(const std::string& profile,
                                const BenchOptions& o) {
   auto opts = o;
   if (profile == "yahoo") {
-    opts.nodes = std::max<std::size_t>(o.nodes / 3, 8);
+    opts.nodes = YahooNodes(o.nodes);
     opts.jobs = 50 * opts.nodes;
   }
   const auto trace = MakeTrace(profile, opts);
