@@ -151,15 +151,40 @@ MessageId NetworkFabric::Send(cluster::MachineId src, cluster::MachineId dst,
     return 0;
   }
   const MessageId id = ++last_id_;
-  auto fn = std::make_shared<DeliveryFn>(std::move(on_arrival));
-  SendCopy(id, src, dst, kind, nominal, fn, /*allow_duplicate=*/true);
+  std::uint32_t slot;
+  if (free_deliveries_.empty()) {
+    slot = static_cast<std::uint32_t>(deliveries_.size());
+    deliveries_.push_back({std::move(on_arrival), 0});
+  } else {
+    slot = free_deliveries_.back();
+    free_deliveries_.pop_back();
+    deliveries_[slot].fn = std::move(on_arrival);
+  }
+  SendCopy(id, src, dst, kind, nominal, slot, /*allow_duplicate=*/true);
+  if (deliveries_[slot].in_flight == 0) {  // every copy was lost
+    deliveries_[slot].fn = nullptr;
+    free_deliveries_.push_back(slot);
+  }
   return id;
+}
+
+bool NetworkFabric::Deliver(std::uint32_t slot) {
+  // Take the callback out of the pool before running it: it may send, which
+  // can reallocate the pool under it.
+  DeliveryFn fn = std::move(deliveries_[slot].fn);
+  const bool consumed = fn();
+  DeliverySlot& entry = deliveries_[slot];
+  if (--entry.in_flight > 0) {
+    entry.fn = std::move(fn);  // a duplicate copy is still in flight
+  } else {
+    free_deliveries_.push_back(slot);
+  }
+  return consumed;
 }
 
 void NetworkFabric::SendCopy(MessageId id, cluster::MachineId src,
                              cluster::MachineId dst, MessageKind kind,
-                             double nominal,
-                             const std::shared_ptr<DeliveryFn>& fn,
+                             double nominal, std::uint32_t slot,
                              bool allow_duplicate) {
   EmitMessage(obs::EventType::kMsgSend, kind, dst, id);
   util::Rng rng = MessageRng(id);
@@ -183,8 +208,9 @@ void NetworkFabric::SendCopy(MessageId id, cluster::MachineId src,
   // receiver callback — the receiver's dedup decides which copy "wins".
   const bool duplicate = allow_duplicate && config_.duplicate_rate > 0 &&
                          rng.Bernoulli(config_.duplicate_rate);
-  engine_.ScheduleAfter(delay, [this, id, kind, dst, fn] {
-    if ((*fn)()) {
+  ++deliveries_[slot].in_flight;
+  engine_.ScheduleAfter(delay, [this, id, kind, dst, slot] {
+    if (Deliver(slot)) {
       ++stats_.delivered;
       EmitMessage(obs::EventType::kMsgDeliver, kind, dst, id);
     } else {
@@ -195,7 +221,7 @@ void NetworkFabric::SendCopy(MessageId id, cluster::MachineId src,
   if (duplicate) {
     ++stats_.duplicated;
     ++stats_.sent;
-    SendCopy(++last_id_, src, dst, kind, nominal, fn,
+    SendCopy(++last_id_, src, dst, kind, nominal, slot,
              /*allow_duplicate=*/false);
   }
 }

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "cluster/machine.h"
@@ -188,10 +187,15 @@ class NetworkFabric {
   void EmitMessage(obs::EventType type, MessageKind kind,
                    cluster::MachineId dst, MessageId id);
 
-  /// Chaos-path send of one already-identified copy.
+  /// Chaos-path send of one already-identified copy of the message whose
+  /// callback sits in delivery slot `slot`.
   void SendCopy(MessageId id, cluster::MachineId src, cluster::MachineId dst,
-                MessageKind kind, double nominal,
-                const std::shared_ptr<DeliveryFn>& fn, bool allow_duplicate);
+                MessageKind kind, double nominal, std::uint32_t slot,
+                bool allow_duplicate);
+
+  /// Runs slot `slot`'s callback for one arrived copy, and frees the slot
+  /// once no copy is left in flight. Returns the callback's result.
+  bool Deliver(std::uint32_t slot);
 
   sim::Engine& engine_;
   FabricConfig config_;
@@ -200,6 +204,17 @@ class NetworkFabric {
   MessageId last_id_ = 0;
   FabricStats stats_;
   std::function<void(const obs::Event&)> emitter_;
+
+  // Delivery pool: one slot per chaos-path message, shared by its copies (a
+  // duplicate re-runs the same callback), with the free slots on a list. A
+  // slot is freed when its last scheduled copy arrives, or at once when
+  // every copy was lost.
+  struct DeliverySlot {
+    DeliveryFn fn;
+    std::uint32_t in_flight = 0;  // scheduled copies not yet arrived
+  };
+  std::vector<DeliverySlot> deliveries_;
+  std::vector<std::uint32_t> free_deliveries_;
 
   // Active partition: bitmap of machines on the cut-off side.
   std::vector<char> partitioned_;

@@ -1,5 +1,6 @@
 #include "obs/audit.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/format.h"
@@ -231,7 +232,7 @@ void InvariantAuditor::OnEvent(const Event& event) {
     case EventType::kMsgSend: {
       ++messages_sent_;
       const auto id = static_cast<std::uint64_t>(event.value);
-      if (!inflight_messages_.insert(id).second) {
+      if (!inflight_messages_.Insert(id)) {
         Violate(util::StrFormat("message %llu sent twice at t=%.6f",
                                 static_cast<unsigned long long>(id),
                                 event.time));
@@ -364,7 +365,7 @@ void InvariantAuditor::OnEvent(const Event& event) {
     case EventType::kMsgExpire: {
       ++messages_terminated_;
       const auto id = static_cast<std::uint64_t>(event.value);
-      if (inflight_messages_.erase(id) == 0) {
+      if (!inflight_messages_.Erase(id)) {
         Violate(util::StrFormat(
             "message %llu terminated (%s) at t=%.6f without a matching send",
             static_cast<unsigned long long>(id), EventTypeName(event.type),
@@ -694,8 +695,11 @@ void InvariantAuditor::Finish() {
           static_cast<unsigned long long>(tasks)));
     }
   }
+  // Each leak names its lowest key, so the diagnosis repeats run to run
+  // whatever the hash layout; the count carries the scale.
   if (!outstanding_preemptions_.empty()) {
-    const std::uint64_t key = *outstanding_preemptions_.begin();
+    const std::uint64_t key = *std::min_element(
+        outstanding_preemptions_.begin(), outstanding_preemptions_.end());
     Violate(util::StrFormat(
         "%zu preempted task(s) never requeued (e.g. job %llu task %llu): "
         "every preemption must requeue its victim exactly once",
@@ -704,7 +708,8 @@ void InvariantAuditor::Finish() {
         static_cast<unsigned long long>(key & 0xffffffffULL)));
   }
   if (!outstanding_fed_binds_.empty()) {
-    const std::uint64_t key = *outstanding_fed_binds_.begin();
+    const std::uint64_t key = *std::min_element(
+        outstanding_fed_binds_.begin(), outstanding_fed_binds_.end());
     Violate(util::StrFormat(
         "%zu cross-shard bind(s) never closed (e.g. job %llu task %llu): "
         "every kFedBindSend must end in exactly one accept or reject",
@@ -713,12 +718,13 @@ void InvariantAuditor::Finish() {
         static_cast<unsigned long long>(key & 0xffffffffULL)));
   }
   if (!inflight_messages_.empty()) {
-    // Sample one leaked id for the diagnosis; the count carries the scale.
+    std::uint64_t lowest = ~std::uint64_t{0};
+    inflight_messages_.ForEach(
+        [&lowest](std::uint64_t id) { lowest = std::min(lowest, id); });
     Violate(util::StrFormat(
         "%zu control-plane message(s) still in flight after the run drained "
         "(e.g. id %llu): every send must end in deliver, drop, or expire",
-        inflight_messages_.size(),
-        static_cast<unsigned long long>(*inflight_messages_.begin())));
+        inflight_messages_.size(), static_cast<unsigned long long>(lowest)));
   }
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const JobStats& job = jobs_[i];

@@ -71,6 +71,7 @@
 #include <vector>
 
 #include "obs/event.h"
+#include "util/flat_hash.h"
 
 namespace phoenix::obs {
 
@@ -175,7 +176,8 @@ class InvariantAuditor final : public EventSink {
   std::vector<bool> machine_failed_;
   std::vector<std::uint8_t> machine_lifecycle_;
   /// Fabric messages sent but not yet delivered/dropped/expired, by id.
-  std::unordered_set<std::uint64_t> inflight_messages_;
+  /// Flat: every chaos-path message inserts and erases one id.
+  util::FlatHashSet inflight_messages_;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t messages_terminated_ = 0;
   /// Preempted (job, task) pairs awaiting their kPreemptRequeue.

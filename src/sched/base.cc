@@ -329,9 +329,6 @@ void SchedulerBase::EmitToSinks(EventType type, std::uint32_t job,
 void SchedulerBase::AuditWorkers(bool final_state, MachineId lo,
                                  MachineId hi) {
   if (auditor_ == nullptr) return;
-  // One engine snapshot amortizes the per-run "completion is pending" check
-  // across the audited range.
-  const auto pending = engine_.PendingIds();
   const double now = engine_.Now();
   for (MachineId i = lo; i < hi; ++i) {
     const WorkerState& w = workers_[i];
@@ -345,9 +342,7 @@ void SchedulerBase::AuditWorkers(bool final_state, MachineId lo,
                           out_of_service);
     for (const Run& run : w.runs) {
       auditor_->CheckRun(now, w.id, run.job, run.task_index, w.failed,
-                         out_of_service,
-                         std::binary_search(pending.begin(), pending.end(),
-                                            run.pending_event),
+                         out_of_service, engine_.IsPending(run.pending_event),
                          final_state);
     }
   }

@@ -213,14 +213,6 @@ void Engine::AdvanceToNextDay() {
   Harvest();
 }
 
-std::vector<Engine::EventId> Engine::PendingIds() const {
-  std::vector<EventId> ids;
-  ids.reserve(pending_.size());
-  pending_.ForEach([&ids](std::uint64_t id) { ids.push_back(id); });
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
 std::uint64_t Engine::Run(SimTime until) {
   std::uint64_t fired = 0;
   while (Step(until)) ++fired;

@@ -87,11 +87,6 @@ class Engine {
   /// O(1) hash probe — safe on hot paths as well as audits.
   bool IsPending(EventId id) const { return pending_.Contains(id); }
 
-  /// Ids of all live (scheduled, unfired, uncancelled) events, sorted.
-  /// Snapshot for structural audits: one O(n log n) pass amortizes the
-  /// per-worker pending checks at a heartbeat.
-  std::vector<EventId> PendingIds() const;
-
   bool Empty() const { return pending_.empty(); }
   std::uint64_t events_fired() const { return events_fired_; }
   std::uint64_t events_scheduled() const { return next_seq_; }

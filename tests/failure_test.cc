@@ -5,6 +5,7 @@
 
 #include "cluster/builder.h"
 #include "core/phoenix.h"
+#include "obs/audit.h"
 #include "runner/experiment.h"
 #include "sched/central.h"
 #include "sched/eagle.h"
@@ -280,6 +281,41 @@ TEST(Failures, ProbeBouncesRepeatedlyWhileDestinationStaysDown) {
   engine.Run();
   EXPECT_TRUE(sched.AllJobsDone());
   sched.BuildReport().CheckInvariants();
+}
+
+TEST(Failures, HeartbeatAuditCatchesAStrandedRun) {
+  // A run whose completion event is gone would hold its machine forever.
+  // The heartbeat's worker audit asks the engine about every run's
+  // completion, so cancelling one behind the scheduler's back must surface
+  // at the next heartbeat.
+  const auto cl = cluster::BuildCluster({.num_machines = 1, .seed = 61});
+  sim::Engine engine;
+  sched::SchedulerConfig cfg;
+  cfg.probe_ratio = 1;
+  WhiteBox<sched::EagleScheduler> sched(engine, cl, cfg);
+  obs::InvariantAuditor auditor;
+  sched.AttachAuditor(&auditor);
+  trace::Job job;
+  job.id = 0;
+  job.submit_time = 0;
+  job.task_durations = {50.0};
+  trace::Trace t("stranded-run", {job});
+  t.set_short_cutoff(100.0);
+  sched.SubmitTrace(t);
+
+  for (int i = 0; i < 10000 && sched.worker(0).runs.empty(); ++i) {
+    ASSERT_TRUE(engine.Step());
+  }
+  ASSERT_FALSE(sched.worker(0).runs.empty());
+  ASSERT_TRUE(engine.Cancel(sched.worker(0).runs[0].pending_event));
+  EXPECT_TRUE(auditor.ok()) << auditor.Summary();
+  // The task would still be running; the stranded run never ends, so run
+  // only a bounded stretch that spans the next heartbeat.
+  engine.Run(engine.Now() + cfg.heartbeat_interval + 1.0);
+  EXPECT_GE(sched.counters_view().heartbeats, 1u);
+  ASSERT_FALSE(auditor.ok());
+  EXPECT_NE(auditor.Summary().find("stranded run"), std::string::npos)
+      << auditor.Summary();
 }
 
 TEST(Failures, CentralizedPlacementFallsBackOffDeadCandidates) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "cluster/builder.h"
@@ -164,6 +165,101 @@ TEST(Fabric, DuplicatesShareTheCallbackAndStaleCopiesExpire) {
   EXPECT_EQ(consumed, 200u);
   EXPECT_EQ(s.expired, s.duplicated);  // every extra copy arrived stale
   EXPECT_EQ(s.sent, 200u + s.duplicated);
+  EXPECT_EQ(s.sent, s.delivered + s.dropped + s.partition_drops + s.expired);
+}
+
+// The message ledger of the lifetime test below: how many copies of each
+// message were not lost on the wire, and how often each callback fired and
+// was destroyed. Every copy that is not lost runs the callback once, so
+// scheduled - fired copies are still in flight.
+struct CopyLedger {
+  std::map<int, int> scheduled;
+  std::map<int, int> fired;
+  std::map<int, int> destroyed;
+  int sending = -1;  // the message whose Send is on the stack
+  int next = 0;
+
+  int InFlight(int msg) { return scheduled[msg] - fired[msg]; }
+};
+
+// A delivery callback that counts its own lifetime. A move hands the
+// "armed" mark to the new instance, so `destroyed[msg]` counts how often
+// the one armed instance died. Each run sends `fanout` fresh messages
+// (growing the delivery pool while the callback is out of it).
+struct LedgerProbe {
+  NetworkFabric* fabric;
+  CopyLedger* ledger;
+  int msg;
+  int fanout;
+  bool armed = true;
+  LedgerProbe(NetworkFabric* f, CopyLedger* l, int m, int fan)
+      : fabric(f), ledger(l), msg(m), fanout(fan) {}
+  LedgerProbe(LedgerProbe&& o) noexcept
+      : fabric(o.fabric), ledger(o.ledger), msg(o.msg), fanout(o.fanout),
+        armed(o.armed) {
+    o.armed = false;
+  }
+  LedgerProbe(const LedgerProbe&) = delete;
+  ~LedgerProbe() {
+    if (armed) ++ledger->destroyed[msg];
+  }
+  bool operator()() {
+    EXPECT_EQ(ledger->destroyed[msg], 0) << "message " << msg;
+    for (int k = 0; k < fanout; ++k) {
+      Send(fabric, ledger, /*fanout=*/0);
+    }
+    return ++ledger->fired[msg] == 1;  // later copies arrive stale
+  }
+  // Sends one fresh message and checks its callback's fate at once: lost on
+  // every copy means destroyed now, otherwise alive until its copies land.
+  static void Send(NetworkFabric* fabric, CopyLedger* ledger, int fanout) {
+    const int msg = ledger->next++;
+    const int outer = ledger->sending;
+    ledger->sending = msg;
+    fabric->Send(net::kControllerNode, 0, MessageKind::kProbe, 1e-3,
+                 LedgerProbe(fabric, ledger, msg, fanout));
+    ledger->sending = outer;
+    const int expect = ledger->InFlight(msg) == 0 ? 1 : 0;
+    EXPECT_EQ(ledger->destroyed[msg], expect) << "message " << msg;
+  }
+};
+
+TEST(Fabric, DeliveryCallbackLivesExactlyAsLongAsItsLastCopy) {
+  FabricConfig cfg;
+  cfg.drop_rate = 0.3;
+  cfg.duplicate_rate = 0.5;
+  sim::Engine engine;
+  NetworkFabric fabric(engine, cfg, 29);
+  CopyLedger ledger;
+  // A copy is sent, and lost on the wire, inside its message's Send call.
+  fabric.set_emitter([&ledger](const obs::Event& e) {
+    if (e.type == obs::EventType::kMsgSend) ++ledger.scheduled[ledger.sending];
+    if (e.type == obs::EventType::kMsgDrop) --ledger.scheduled[ledger.sending];
+  });
+  // Every other root message fans out two more sends each time it runs.
+  for (int i = 0; i < 300; ++i) {
+    LedgerProbe::Send(&fabric, &ledger, /*fanout=*/i % 2 == 0 ? 2 : 0);
+  }
+  while (engine.Step()) {
+    // After each arrival, a callback is alive exactly while a copy of its
+    // message is still in flight.
+    for (int msg = 0; msg < ledger.next; ++msg) {
+      ASSERT_EQ(ledger.destroyed[msg], ledger.InFlight(msg) == 0 ? 1 : 0)
+          << "message " << msg;
+    }
+  }
+  ASSERT_GT(ledger.next, 300);  // running callbacks sent too
+  int lost = 0;
+  int doubled = 0;
+  for (int msg = 0; msg < ledger.next; ++msg) {
+    EXPECT_EQ(ledger.destroyed[msg], 1) << "message " << msg;
+    EXPECT_EQ(ledger.fired[msg], ledger.scheduled[msg]) << "message " << msg;
+    lost += ledger.scheduled[msg] == 0;
+    doubled += ledger.scheduled[msg] == 2;
+  }
+  EXPECT_GT(lost, 0);
+  EXPECT_GT(doubled, 0);
+  const auto& s = fabric.stats();
   EXPECT_EQ(s.sent, s.delivered + s.dropped + s.partition_drops + s.expired);
 }
 

@@ -261,6 +261,23 @@ TEST(Obs, AuditorCatchesRunLeftAtEnd) {
   EXPECT_NE(a.Summary().find("after the run drained"), std::string::npos);
 }
 
+TEST(Obs, AuditorNamesTheLowestLeakedMessage) {
+  obs::InvariantAuditor a;
+  // Two sends never terminate. The ledger's own order would list 907 first
+  // (the later insert, and the lower hash slot), but the diagnosis must not
+  // depend on the hash layout: it names the lowest leaked id.
+  a.OnEvent({1.0, EventType::kMsgSend, obs::kNoId, 0, 0, 41.0});
+  a.OnEvent({1.0, EventType::kMsgSend, obs::kNoId, 0, 0, 907.0});
+  EXPECT_TRUE(a.ok()) << a.Summary();
+  a.Finish();
+  ASSERT_FALSE(a.ok());
+  const std::string summary = a.Summary();
+  EXPECT_NE(summary.find("2 control-plane message(s) still in flight"),
+            std::string::npos)
+      << summary;
+  EXPECT_NE(summary.find("(e.g. id 41)"), std::string::npos) << summary;
+}
+
 // ---------------------------------------------------------------- writers
 
 TEST(Obs, JsonlStreamIsWellFormed) {

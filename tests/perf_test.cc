@@ -121,5 +121,27 @@ TEST(PerfIdentity, AllSchedulersRepeatIdenticalOnStaticFleet) {
   }
 }
 
+// The auditor only watches: attaching it must not move a single event. The
+// sharded, lossy run puts the audit's heartbeat checks and the message
+// ledger on every path the auditor taps.
+TEST(PerfIdentity, AuditedRunMatchesUnauditedRun) {
+  const auto cl = cluster::BuildCluster({.num_machines = 200, .seed = 41});
+  const auto t = trace::GenerateGoogleTrace(800, 200, 0.85, 41);
+  runner::RunOptions o;
+  o.scheduler = "phoenix";
+  o.config.seed = 41;
+  o.config.net.model = net::LatencyModel::kLognormal;
+  o.config.net.drop_rate = 0.02;
+  o.config.net.duplicate_rate = 0.02;
+  o.config.net.reorder_rate = 0.02;
+  o.federation.shards = 4;
+  const auto plain = runner::RunSimulation(t, cl, o);
+  o.obs.audit = true;
+  const auto audited = runner::RunSimulation(t, cl, o);
+  ASSERT_GT(plain.counters.net_messages_dropped, 0u);
+  EXPECT_EQ(audited.events_fired, plain.events_fired);
+  EXPECT_EQ(metrics::Fingerprint(audited), metrics::Fingerprint(plain));
+}
+
 }  // namespace
 }  // namespace phoenix
