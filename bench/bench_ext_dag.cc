@@ -49,7 +49,7 @@ bench::JsonEmitter MakeEmitter(const bench::BenchOptions& o,
   emitter.AddCommonConfig(o);
   emitter.config()
       .Add("audit", o.obs.audit)
-      .Add("dag_fraction", o.dag_fraction);
+      .Add("dag_fraction", bench::kDagFraction);
   for (const Cell& c : cells) {
     auto& cell = emitter.NewCell();
     cell.Add("scheduler", c.scheduler)
@@ -77,30 +77,18 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
   const std::string json_path = flags.GetString("json", "");
-  auto o = bench::ParseBenchOptions(flags, 96, 2);
+  auto o = bench::ParseBenchOptions(flags, 96, 2,
+                                    {"dag", "dag-shape", "deadline"});
   bench::PrintHeader("Extension: DAG workloads and deadline scheduling", o,
                      "beyond-paper: the paper's jobs are independent tasks");
   std::printf("dag: %.0f%% of multi-task jobs tagged per shape; deadlines "
               "2x/4x/8x expected critical path (prod/batch/best-effort)\n\n",
-              100 * o.dag_fraction);
+              100 * bench::kDagFraction);
 
   const std::vector<std::string> shapes = {"flat", "chain", "fanout",
                                            "diamond"};
 
   const auto cluster = bench::MakeCluster(o.nodes, o.seed);
-
-  std::FILE* tsv = nullptr;
-  if (!o.tsv.empty()) {
-    tsv = std::fopen(o.tsv.c_str(), "a");
-    if (tsv != nullptr) {
-      std::fseek(tsv, 0, SEEK_END);
-      if (std::ftell(tsv) == 0) {
-        std::fprintf(tsv,
-                     "scheduler\tshape\tdeadline\tshort_p90\tdag_jobs\t"
-                     "released\tmisses\tpromotions\n");
-      }
-    }
-  }
 
   std::vector<Cell> cells;
   for (const std::string sched : {"phoenix", "eagle-c"}) {
@@ -155,21 +143,10 @@ int main(int argc, char** argv) {
                   util::WithCommas(static_cast<std::int64_t>(
                       c.counters.deadline_promotions)),
                   AttainLabel(c)});
-        if (tsv != nullptr) {
-          std::fprintf(
-              tsv, "%s\t%s\t%d\t%.6f\t%llu\t%llu\t%llu\t%llu\n",
-              sched.c_str(), shape.c_str(), deadline ? 1 : 0, c.short_p90,
-              static_cast<unsigned long long>(c.counters.dag_jobs),
-              static_cast<unsigned long long>(c.counters.dag_tasks_released),
-              static_cast<unsigned long long>(c.counters.deadline_misses),
-              static_cast<unsigned long long>(
-                  c.counters.deadline_promotions));
-        }
       }
     }
     std::printf("%s\n", t.ToString().c_str());
   }
-  if (tsv != nullptr) std::fclose(tsv);
   if (!json_path.empty() && !MakeEmitter(o, cells).WriteTo(json_path)) {
     return 1;
   }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "elastic/config.h"
 #include "metrics/percentile.h"
 
 using namespace phoenix;
@@ -40,9 +41,7 @@ struct Cell {
 };
 
 bench::JsonEmitter MakeEmitter(const bench::BenchOptions& o,
-                               std::size_t reserve, std::size_t transient,
-                               double warmup, double grace,
-                               double reclaim_grace,
+                               const elastic::ElasticConfig& elastic,
                                const std::vector<Cell>& cells) {
   bench::JsonEmitter emitter(
       "ext_elasticity",
@@ -50,11 +49,11 @@ bench::JsonEmitter MakeEmitter(const bench::BenchOptions& o,
       "reclamation)");
   emitter.AddCommonConfig(o);
   emitter.config()
-      .AddInt("reserve", reserve)
-      .AddInt("transient", transient)
-      .Add("warmup_delay_s", warmup)
-      .Add("drain_grace_s", grace)
-      .Add("reclaim_grace_s", reclaim_grace);
+      .AddInt("reserve", elastic.reserve_machines)
+      .AddInt("transient", elastic.transient_machines)
+      .Add("warmup_delay_s", elastic.warmup_delay)
+      .Add("drain_grace_s", elastic.drain_grace)
+      .Add("reclaim_grace_s", elastic.reclaim_grace);
   for (const Cell& c : cells) {
     auto& cell = emitter.NewCell();
     cell.Add("scheduler", c.scheduler)
@@ -79,24 +78,24 @@ bench::JsonEmitter MakeEmitter(const bench::BenchOptions& o,
 int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
-  // Elasticity knobs, declared before the common set so `--help` leads with
-  // them. 0 on the pool sizes means "derive from --nodes".
   const std::string json_path = flags.GetString("json", "");
-  std::size_t reserve = static_cast<std::size_t>(flags.GetInt("reserve", 0));
-  std::size_t transient =
-      static_cast<std::size_t>(flags.GetInt("transient", 0));
-  const double warmup = flags.GetDouble("warmup", 30.0);
-  const double grace = flags.GetDouble("drain-grace", 60.0);
-  const double reclaim_grace = flags.GetDouble("reclaim-grace", 15.0);
-  const double target_wait = flags.GetDouble("target-wait", 5.0);
   auto o = bench::ParseBenchOptions(flags, 120, 2, {"trace-google", "shape"});
-  if (reserve == 0) reserve = o.nodes / 2;
-  if (transient == 0) transient = o.nodes / 4;
+  // The universe: the --nodes base fleet, a reserve pool of half of it and a
+  // transient pool of a quarter, every lease kept open; the controller's
+  // timings and wait target are ElasticConfig's defaults.
+  elastic::ElasticConfig elastic;
+  elastic.enabled = true;
+  elastic.base_machines = o.nodes;
+  elastic.reserve_machines = o.nodes / 2;
+  elastic.transient_machines = o.nodes / 4;
+  elastic.transient_target = elastic.transient_machines;
   bench::PrintHeader("Extension: elastic lifecycle under shaped load", o,
                      "beyond-paper: the paper's fleets are fixed-size");
   std::printf("universe: base=%zu reserve=%zu transient=%zu (warmup=%gs, "
               "drain grace=%gs, reclaim grace=%gs)\n\n",
-              o.nodes, reserve, transient, warmup, grace, reclaim_grace);
+              o.nodes, elastic.reserve_machines, elastic.transient_machines,
+              elastic.warmup_delay, elastic.drain_grace,
+              elastic.reclaim_grace);
 
   // Two shaped variants of the Google profile, from the shared preset table
   // (src/trace/generators.h). Flash-crowd: rare, intense, minute-scale
@@ -109,21 +108,7 @@ int main(int argc, char** argv) {
   // Mean transient lease lifetimes of infinity, 20 min, 5 min.
   const std::vector<double> reclaim_rates = {0.0, 1.0 / 1200.0, 1.0 / 300.0};
 
-  const auto cluster = bench::MakeCluster(o.nodes + reserve + transient,
-                                          o.seed);
-
-  std::FILE* tsv = nullptr;
-  if (!o.tsv.empty()) {
-    tsv = std::fopen(o.tsv.c_str(), "a");
-    if (tsv != nullptr) {
-      std::fseek(tsv, 0, SEEK_END);
-      if (std::ftell(tsv) == 0) {
-        std::fprintf(tsv,
-                     "scheduler\tshape\treclaim_rate\tshort_p90\tutil\t"
-                     "commissions\tdrains\treclaims\tredispatched\n");
-      }
-    }
-  }
+  const auto cluster = bench::MakeCluster(elastic.universe_size(), o.seed);
 
   std::vector<Cell> cells;
   for (const std::string sched : {"phoenix", "eagle-c", "hawk-c"}) {
@@ -141,16 +126,8 @@ int main(int argc, char** argv) {
             o, sched,
             sched + "-" + shape.name + "-reclaim" +
                 (rate > 0 ? util::StrFormat("%.0f", 1.0 / rate) : "off"));
-        ro.elastic.enabled = true;
-        ro.elastic.base_machines = o.nodes;
-        ro.elastic.reserve_machines = reserve;
-        ro.elastic.transient_machines = transient;
-        ro.elastic.transient_target = transient;
-        ro.elastic.warmup_delay = warmup;
-        ro.elastic.drain_grace = grace;
-        ro.elastic.reclaim_grace = reclaim_grace;
+        ro.elastic = elastic;
         ro.elastic.reclaim_rate = rate;
-        ro.elastic.target_wait = target_wait;
         const runner::RepeatedRuns runs(trace, cluster, ro, o.runs);
         const double p90 = runs.MeanQueuingPercentile(
             90, metrics::ClassFilter::kShort, metrics::ConstraintFilter::kAll);
@@ -183,23 +160,12 @@ int main(int argc, char** argv) {
              util::WithCommas(
                  static_cast<std::int64_t>(k.elastic_crv_shaped_picks)),
              util::StrFormat("%.0fs", k.elastic_wasted_warmup_seconds)});
-        if (tsv != nullptr) {
-          std::fprintf(
-              tsv, "%s\t%s\t%.6f\t%.6f\t%.4f\t%llu\t%llu\t%llu\t%llu\n",
-              sched.c_str(), shape.name, rate, p90, util,
-              static_cast<unsigned long long>(k.elastic_commissions),
-              static_cast<unsigned long long>(k.elastic_drains),
-              static_cast<unsigned long long>(k.elastic_reclamations),
-              static_cast<unsigned long long>(k.elastic_tasks_redispatched));
-        }
       }
     }
     std::printf("%s\n", t.ToString().c_str());
   }
-  if (tsv != nullptr) std::fclose(tsv);
   if (!json_path.empty() &&
-      !MakeEmitter(o, reserve, transient, warmup, grace, reclaim_grace, cells)
-           .WriteTo(json_path)) {
+      !MakeEmitter(o, elastic, cells).WriteTo(json_path)) {
     return 1;
   }
   std::printf(

@@ -17,10 +17,9 @@
 // is the free-lunch column: dispatch boosts throttled machines back to P0
 // before work starts, so it thins *idle* draw at identical latency.
 //
-// With `--sla-mix` (default "balanced"; "off" disables) the trace carries a
-// prod/batch/best-effort tenant mix and each cell additionally slices
-// execution joules by SLA class — who the saved (or spent) energy actually
-// served.
+// The trace carries a balanced prod/batch/best-effort tenant mix and each
+// cell additionally slices execution joules by SLA class — who the saved
+// (or spent) energy actually served.
 //
 // `--json=PATH` additionally writes every cell as machine-readable JSON.
 #include <array>
@@ -47,7 +46,7 @@ struct Cell {
   double short_p90 = 0;
   double sleep_fraction = 0;
   /// Mean execution joules, completed tasks, and joules-per-task per SLA
-  /// class (prod / batch / best-effort), zero when --sla-mix=off.
+  /// class (prod / batch / best-effort).
   std::array<double, 3> class_joules{};
   std::array<std::uint64_t, 3> class_tasks{};
   std::array<double, 3> class_j_per_task{};
@@ -72,9 +71,8 @@ tenancy::TenancyConfig MakeSlaTenants() {
   return tc;
 }
 
-power::PowerConfig MakePower(const std::string& policy,
-                             const power::PowerConfig& base) {
-  power::PowerConfig pc = base;
+power::PowerConfig MakePower(const std::string& policy) {
+  power::PowerConfig pc;
   pc.enabled = true;
   pc.policy.park = policy == "park" || policy == "all";
   pc.policy.dvfs = policy == "dvfs" || policy == "all";
@@ -86,20 +84,20 @@ std::uint64_t DvfsSteps(const metrics::SchedulerCounters& k) {
 }
 
 bench::JsonEmitter MakeEmitter(const bench::BenchOptions& o,
-                               const std::string& sla_mix,
                                const std::vector<Cell>& cells) {
+  using Policy = power::PowerPolicy;
   bench::JsonEmitter emitter(
       "ext_energy",
       "energy- and power-aware scheduling (S3 deep park, DVFS, wake-aware "
       "supply) vs the always-on fleet");
   emitter.AddCommonConfig(o);
   emitter.config()
-      .Add("park_idle_after_s", o.power.policy.park_idle_after)
-      .Add("min_active_fraction", o.power.policy.min_active_fraction)
-      .Add("target_wait_s", o.power.policy.target_wait)
-      .Add("wake_wait_factor", o.power.policy.wake_wait_factor)
-      .Add("parked_supply_weight", o.power.policy.parked_supply_weight)
-      .Add("sla_mix", sla_mix);
+      .Add("park_idle_after_s", Policy::park_idle_after)
+      .Add("min_active_fraction", Policy::min_active_fraction)
+      .Add("target_wait_s", Policy::target_wait)
+      .Add("wake_wait_factor", Policy::wake_wait_factor)
+      .Add("parked_supply_weight", Policy::parked_supply_weight)
+      .Add("sla_mix", "balanced");
   static const char* kClassKeys[3] = {"prod", "batch", "best_effort"};
   for (const Cell& c : cells) {
     auto& cell = emitter.NewCell();
@@ -134,14 +132,9 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
   const std::string json_path = flags.GetString("json", "");
-  const std::string sla_mix = flags.GetString("sla-mix", "balanced");
-  auto o = bench::ParseBenchOptions(flags, 96, 2, {"trace-google", "shape"});
-  if (sla_mix != "balanced" && sla_mix != "prod-heavy" && sla_mix != "off") {
-    std::fprintf(stderr,
-                 "--sla-mix must be balanced|prod-heavy|off (got \"%s\")\n",
-                 sla_mix.c_str());
-    return 1;
-  }
+  auto o = bench::ParseBenchOptions(flags, 96, 2,
+                                    {"trace-google", "shape", "power",
+                                     "power-policy"});
   // The interesting regime is moderate load: a fleet sized for its peaks
   // has troughs worth sleeping through. --load still overrides.
   if (!flags.Provided("load")) o.load = 0.40;
@@ -156,19 +149,6 @@ int main(int argc, char** argv) {
 
   const auto cluster = bench::MakeCluster(o.nodes, o.seed);
 
-  std::FILE* tsv = nullptr;
-  if (!o.tsv.empty()) {
-    tsv = std::fopen(o.tsv.c_str(), "a");
-    if (tsv != nullptr) {
-      std::fseek(tsv, 0, SEEK_END);
-      if (std::ftell(tsv) == 0) {
-        std::fprintf(tsv,
-                     "scheduler\tshape\tpolicy\tjoules\tj_per_task\tedp\t"
-                     "short_p90\tsleep_fraction\tparks\twakes\tdvfs\n");
-      }
-    }
-  }
-
   std::vector<Cell> cells;
   for (const std::string sched : {"phoenix", "eagle-c"}) {
     std::printf("--- %s ---\n", sched.c_str());
@@ -179,17 +159,13 @@ int main(int argc, char** argv) {
       const auto trace =
           bench::MakeTrace("google", o, [&](trace::GeneratorOptions& gen) {
             trace::ApplyLoadShape(shape, gen);
-            if (sla_mix == "balanced") {
-              gen.tenant_weights = {1.0, 1.0, 1.0};
-            } else if (sla_mix == "prod-heavy") {
-              gen.tenant_weights = {3.0, 1.0, 1.0};
-            }
+            gen.tenant_weights = {1.0, 1.0, 1.0};
           });
       for (const std::string& policy : policies) {
         runner::RunOptions ro = bench::CellOptions(
             o, sched, sched + "-" + shape.name + "-" + policy);
-        if (sla_mix != "off") ro.config.tenancy = MakeSlaTenants();
-        ro.power = MakePower(policy, o.power);
+        ro.config.tenancy = MakeSlaTenants();
+        ro.power = MakePower(policy);
         const runner::RepeatedRuns runs(trace, cluster, ro, o.runs);
         Cell c;
         c.scheduler = sched;
@@ -242,24 +218,11 @@ int main(int argc, char** argv) {
                   util::WithCommas(static_cast<std::int64_t>(parks)),
                   util::WithCommas(static_cast<std::int64_t>(wakes)),
                   util::WithCommas(static_cast<std::int64_t>(dvfs_steps))});
-        if (tsv != nullptr) {
-          std::fprintf(tsv,
-                       "%s\t%s\t%s\t%.6g\t%.6g\t%.6g\t%.6f\t%.4f\t%llu\t%llu"
-                       "\t%llu\n",
-                       sched.c_str(), shape.name, policy.c_str(), c.joules,
-                       c.joules_per_task, c.edp, c.short_p90,
-                       c.sleep_fraction,
-                       static_cast<unsigned long long>(parks),
-                       static_cast<unsigned long long>(wakes),
-                       static_cast<unsigned long long>(dvfs_steps));
-        }
       }
     }
     std::printf("%s\n", t.ToString().c_str());
   }
-  if (tsv != nullptr) std::fclose(tsv);
-  if (!json_path.empty() &&
-      !MakeEmitter(o, sla_mix, cells).WriteTo(json_path)) {
+  if (!json_path.empty() && !MakeEmitter(o, cells).WriteTo(json_path)) {
     return 1;
   }
   std::printf(

@@ -33,8 +33,13 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   const std::string json_path = flags.GetString("json", "");
   const std::vector<std::uint32_t> shard_counts = {1, 2, 4};
-  auto o = bench::ParseBenchOptions(flags, 200, 2, {},
-                                    {.cell_shards = shard_counts.back()});
+  // The cells set the shard count, the gossip period and the fabric's model
+  // and chaos rates; the chaos-off cells run on the ideal fabric.
+  auto o = bench::ParseBenchOptions(
+      flags, 200, 2,
+      {"shards", "gossip-period", "net-model", "net-drop", "net-dup",
+       "net-reorder"},
+      {.cell_shards = shard_counts.back()});
   if (!flags.Provided("load")) o.load = 0.5;
   // Correctness evidence rides in every cell unless explicitly disabled.
   if (!flags.Provided("audit")) o.obs.audit = true;

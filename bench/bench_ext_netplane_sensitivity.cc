@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   // Multi-seed by default: single-run queueing noise is the same order as
   // the control-plane effect under study, so cells are seed-averaged.
-  auto o = bench::ParseBenchOptions(flags, 200, 3);
+  auto o = bench::ParseBenchOptions(flags, 200, 3, {"net-latency", "net-drop"});
   if (!flags.Provided("load")) o.load = 0.5;
   bench::PrintHeader("Extension: control-plane latency/loss sensitivity", o,
                      "paper §V-A assumption (0.5 ms lossless control plane)");
@@ -44,19 +44,6 @@ int main(int argc, char** argv) {
                                          50.0 * sim::kMillisecond,
                                          250.0 * sim::kMillisecond};
   const std::vector<double> drops = {0.0, 0.01, 0.05, 0.10};
-
-  std::FILE* tsv = nullptr;
-  if (!o.tsv.empty()) {
-    tsv = std::fopen(o.tsv.c_str(), "a");
-    if (tsv != nullptr) {
-      std::fseek(tsv, 0, SEEK_END);
-      if (std::ftell(tsv) == 0) {
-        std::fprintf(tsv,
-                     "scheduler\tlatency_ms\tdrop\tshort_p90\tslowdown\t"
-                     "retries\tdropped\tfailures\n");
-      }
-    }
-  }
 
   for (const std::string sched : {"phoenix", "eagle-c"}) {
     std::printf("--- %s ---\n", sched.c_str());
@@ -94,18 +81,10 @@ int main(int argc, char** argv) {
                   util::WithCommas(static_cast<std::int64_t>(dropped)),
                   util::WithCommas(static_cast<std::int64_t>(retries)),
                   util::WithCommas(static_cast<std::int64_t>(failures))});
-        if (tsv != nullptr) {
-          std::fprintf(tsv, "%s\t%.3f\t%.3f\t%.6f\t%.4f\t%llu\t%llu\t%llu\n",
-                       sched.c_str(), latency / sim::kMillisecond, drop, p90,
-                       slowdown, static_cast<unsigned long long>(retries),
-                       static_cast<unsigned long long>(dropped),
-                       static_cast<unsigned long long>(failures));
-        }
       }
     }
     std::printf("%s\n", t.ToString().c_str());
   }
-  if (tsv != nullptr) std::fclose(tsv);
   std::printf(
       "expected shape: queuing-delay slowdown grows along both axes — "
       "latency multiplies the per-task transit floor, drops add "

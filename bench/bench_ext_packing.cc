@@ -79,9 +79,10 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
   const std::string json_path = flags.GetString("json", "");
-  auto o = bench::ParseBenchOptions(flags, 96, 2);
   // This bench exists to exercise the subsystem: packing is always on here,
-  // and the per-mix gang/malleable fractions below override the flags.
+  // and each mix sets its own gang/malleable fractions.
+  auto o = bench::ParseBenchOptions(
+      flags, 96, 2, {"packing", "gang-fraction", "malleable-fraction"});
   o.packing.enabled = true;
   bench::PrintHeader("Extension: multi-resource vector packing", o,
                      "beyond-paper: the paper's workers are single-slot");
@@ -97,19 +98,6 @@ int main(int argc, char** argv) {
   };
 
   const auto cluster = bench::MakeCluster(o.nodes, o.seed);
-
-  std::FILE* tsv = nullptr;
-  if (!o.tsv.empty()) {
-    tsv = std::fopen(o.tsv.c_str(), "a");
-    if (tsv != nullptr) {
-      std::fseek(tsv, 0, SEEK_END);
-      if (std::ftell(tsv) == 0) {
-        std::fprintf(tsv,
-                     "scheduler\tmix\tpack_eff\tfrag\tgang_wait\tshort_p90\t"
-                     "packed\tfit_rej\tcommits\taborts\n");
-      }
-    }
-  }
 
   std::vector<Cell> cells;
   for (const std::string sched : {"phoenix", "eagle-c"}) {
@@ -161,20 +149,9 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(c.counters.malleable_expands),
                static_cast<unsigned long long>(
                    c.counters.malleable_shrinks))});
-      if (tsv != nullptr) {
-        std::fprintf(
-            tsv, "%s\t%s\t%.4f\t%.4f\t%.4f\t%.6f\t%llu\t%llu\t%llu\t%llu\n",
-            sched.c_str(), mix.name, c.packing_efficiency, c.fragmentation,
-            c.gang_wait, c.short_p90,
-            static_cast<unsigned long long>(c.counters.packed_tasks),
-            static_cast<unsigned long long>(c.counters.pack_fit_rejections),
-            static_cast<unsigned long long>(c.counters.gang_commits),
-            static_cast<unsigned long long>(c.counters.gang_aborts));
-      }
     }
     std::printf("%s\n", t.ToString().c_str());
   }
-  if (tsv != nullptr) std::fclose(tsv);
   if (!json_path.empty() && !MakeEmitter(o, cells).WriteTo(json_path)) {
     return 1;
   }

@@ -46,11 +46,15 @@ struct Cell {
   double wall = 0;
 };
 
-tenancy::TenancyConfig MakeTenants(bool preemption, double slo_target) {
+/// The prod tenant's short-job SLO target, seconds.
+constexpr double kProdSloTarget = 60.0;
+
+tenancy::TenancyConfig MakeTenants(bool preemption) {
   tenancy::TenancyConfig tc;
   tc.preemption = preemption;
   tc.tenants.push_back({"prod", tenancy::PriorityClass::kProd,
-                        /*quota_share=*/0.5, /*crv_share=*/0.0, slo_target});
+                        /*quota_share=*/0.5, /*crv_share=*/0.0,
+                        kProdSloTarget});
   tc.tenants.push_back({"batch", tenancy::PriorityClass::kBatch,
                         /*quota_share=*/0.4, /*crv_share=*/0.6,
                         /*slo_target=*/0.0});
@@ -66,13 +70,12 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
   const std::string json_path = flags.GetString("json", "");
-  const double slo_target = flags.GetDouble("slo", 60.0);
   auto o = bench::ParseBenchOptions(flags, 120, 2, {"trace-google"});
   bench::PrintHeader("Extension: multi-tenant SLO scheduling", o,
                      "beyond-paper: the paper's clusters are single-tenant");
   std::printf("tenants: prod (quota 50%%, SLO %gs) / batch (quota 40%%, CRV "
               "share 60%%) / scavenger (best-effort)\n\n",
-              slo_target);
+              kProdSloTarget);
 
   const std::vector<Mix> mixes = {
       {"balanced", {1.0, 1.0, 1.0}},
@@ -95,7 +98,7 @@ int main(int argc, char** argv) {
         runner::RunOptions ro = bench::CellOptions(
             o, sched,
             sched + "-" + mix.name + (preemption ? "-preempt" : ""));
-        ro.config.tenancy = MakeTenants(preemption, slo_target);
+        ro.config.tenancy = MakeTenants(preemption);
         const runner::RepeatedRuns runs(trace, cluster, ro, o.runs);
         Cell c;
         c.scheduler = sched;
@@ -148,7 +151,7 @@ int main(int argc, char** argv) {
         "multi-tenant SLO scheduling: priority classes, quota admission, "
         "preemption (tenant mix skew x preemption policy x scheduler)");
     emitter.AddCommonConfig(o);
-    emitter.config().Add("slo_target_s", slo_target);
+    emitter.config().Add("slo_target_s", kProdSloTarget);
     for (const Cell& c : cells) {
       auto& cell = emitter.NewCell();
       cell.Add("scheduler", c.scheduler)

@@ -27,10 +27,7 @@
 //   --net-drop=F     P(message silently dropped), per copy
 //   --net-dup=F      P(message duplicated in flight)
 //   --net-reorder=F  P(message held back past later traffic)
-//   --net-seed=N     fabric chaos stream seed (mixed with --seed)
-//   --rpc-timeout=S  base RPC attempt deadline
 //   --rpc-retries=N  max retries before a call fails over
-//   --rpc-backoff=F  deadline multiplier per retry
 //
 // Sharded control plane (see EXPERIMENTS.md "Federation"):
 //   --shards=N        scheduler shards; 1 (default) never constructs the
@@ -42,11 +39,6 @@
 //   --power                 attach the power model + controller; without it
 //                           no power code runs and output is byte-identical
 //   --power-policy=P        meter | dvfs | park | all (default all)
-//   --power-park-idle=S     continuous idle seconds before a park
-//   --power-min-active=F    min fraction of the fleet kept awake
-//   --power-target-wait=S   E[W] the wake threshold is scaled from
-//   --power-wake-factor=F   wake when fleet E[W] > factor * target-wait
-//   --power-parked-weight=F parked machine's weight as CRV supply
 //
 // Multi-resource packing (see EXPERIMENTS.md "Packing"):
 //   --packing               multi-dimensional capacity/demand vectors and
@@ -66,8 +58,8 @@
 //                     output is byte-identical
 //   --deadline        SLA-class deadlines + EDF tie-break in the worker
 //                     queues; per-class attainment lands in the report
-//   --dag-shape=S     chain | fanout | diamond edges overlaid on the trace
-//   --dag-fraction=F  fraction of multi-task jobs tagged with DAG edges
+//   --dag-shape=S     chain | fanout | diamond edges overlaid on
+//                     kDagFraction (30%) of the multi-task jobs
 //
 // Workload frontends:
 //   --shape=S         steady | diurnal | flash-crowd arrival shape applied
@@ -109,6 +101,9 @@
 
 namespace phoenix::bench {
 
+/// Fraction of multi-task jobs MakeTrace tags with DAG edges under --dag.
+inline constexpr double kDagFraction = 0.3;
+
 struct BenchOptions {
   std::size_t nodes = 300;
   std::size_t jobs = 15000;
@@ -118,9 +113,6 @@ struct BenchOptions {
   /// Experiment thread budget; 0 means hardware concurrency.
   std::size_t threads = 0;
   bool paper = false;
-  /// When non-empty, sweep harnesses append tab-separated data rows here
-  /// (one file per run, gnuplot-ready: series label + x + y columns).
-  std::string tsv;
   /// Observability outputs applied to every simulation the bench runs.
   runner::ObsOptions obs;
   /// Control-plane fabric and RPC policy applied to every simulation.
@@ -139,7 +131,6 @@ struct BenchOptions {
   workflow::WorkflowConfig workflow;
   /// DAG edge overlay MakeTrace applies when the dag gate is on.
   std::string dag_shape = "chain";
-  double dag_fraction = 0.3;
   /// Arrival shape applied on top of the profile ("" keeps its MMPP mix).
   std::string shape;
   /// Google cluster-trace v2 CSV replayed instead of the generator.
@@ -199,7 +190,6 @@ inline BenchOptions ParseBenchOptions(
   o.runs = static_cast<std::size_t>(
       flags.GetInt("runs", static_cast<std::int64_t>(default_runs)));
   o.threads = static_cast<std::size_t>(flags.GetInt("threads", 0));
-  o.tsv = flags.GetString("tsv", "");
   o.obs.trace_chrome = flags.GetString("trace-out", "");
   o.obs.trace_jsonl = flags.GetString("trace-jsonl", "");
   o.obs.timeseries_tsv = flags.GetString("timeseries", "");
@@ -223,12 +213,8 @@ inline BenchOptions ParseBenchOptions(
   o.net.drop_rate = flags.GetDouble("net-drop", 0.0);
   o.net.duplicate_rate = flags.GetDouble("net-dup", 0.0);
   o.net.reorder_rate = flags.GetDouble("net-reorder", 0.0);
-  o.net.seed = static_cast<std::uint64_t>(flags.GetInt(
-      "net-seed", static_cast<std::int64_t>(o.net.seed)));
-  o.rpc.timeout = flags.GetDouble("rpc-timeout", o.rpc.timeout);
   o.rpc.max_retries = static_cast<std::size_t>(flags.GetInt(
       "rpc-retries", static_cast<std::int64_t>(o.rpc.max_retries)));
-  o.rpc.backoff = flags.GetDouble("rpc-backoff", o.rpc.backoff);
   for (const auto& [name, value] :
        {std::pair{"--net-drop", o.net.drop_rate},
         std::pair{"--net-dup", o.net.duplicate_rate},
@@ -238,8 +224,6 @@ inline BenchOptions ParseBenchOptions(
             util::StrFormat("%s must be in [0, 1) (got %g)", name, value));
   }
   require(o.net.one_way > 0, "--net-latency must be positive");
-  require(o.rpc.timeout > 0, "--rpc-timeout must be positive");
-  require(o.rpc.backoff >= 1.0, "--rpc-backoff must be >= 1");
   o.federation.shards = static_cast<std::uint32_t>(flags.GetInt(
       "shards", static_cast<std::int64_t>(o.federation.shards)));
   o.federation.gossip_period =
@@ -282,27 +266,6 @@ inline BenchOptions ParseBenchOptions(
             "--power-policy must be meter|dvfs|park|all (got \"" +
                 power_policy + "\")");
   }
-  o.power.policy.park_idle_after =
-      flags.GetDouble("power-park-idle", o.power.policy.park_idle_after);
-  o.power.policy.min_active_fraction =
-      flags.GetDouble("power-min-active", o.power.policy.min_active_fraction);
-  o.power.policy.target_wait =
-      flags.GetDouble("power-target-wait", o.power.policy.target_wait);
-  o.power.policy.wake_wait_factor =
-      flags.GetDouble("power-wake-factor", o.power.policy.wake_wait_factor);
-  o.power.policy.parked_supply_weight = flags.GetDouble(
-      "power-parked-weight", o.power.policy.parked_supply_weight);
-  require(o.power.policy.park_idle_after >= 0,
-          "--power-park-idle must be >= 0");
-  require(o.power.policy.min_active_fraction >= 0 &&
-              o.power.policy.min_active_fraction <= 1,
-          "--power-min-active must be in [0,1]");
-  require(o.power.policy.target_wait > 0,
-          "--power-target-wait must be positive");
-  require(o.power.policy.wake_wait_factor > 0,
-          "--power-wake-factor must be positive");
-  require(o.power.policy.parked_supply_weight >= 0,
-          "--power-parked-weight must be >= 0");
   o.packing.enabled = flags.GetBool("packing", false);
   o.packing.gang_fraction =
       flags.GetDouble("gang-fraction", o.packing.gang_fraction);
@@ -325,17 +288,18 @@ inline BenchOptions ParseBenchOptions(
   require(!o.packing.enabled || o.federation.shards <= 1,
           "--packing cannot be combined with --shards > 1 (gossiped free-slot "
           "digests do not carry capacity vectors)");
+  require(!o.packing.enabled || fleet.cell_shards <= 1,
+          util::StrFormat("--packing cannot be used with this bench: it runs "
+                          "%u-shard cells",
+                          fleet.cell_shards));
   o.workflow.dag = flags.GetBool("dag", false);
   o.workflow.deadline = flags.GetBool("deadline", false);
   o.dag_shape = flags.GetString("dag-shape", o.dag_shape);
-  o.dag_fraction = flags.GetDouble("dag-fraction", o.dag_fraction);
   o.shape = flags.GetString("shape", "");
   o.trace_google = flags.GetString("trace-google", "");
   require(workflow::KnownDagShape(o.dag_shape),
           "--dag-shape must be chain|fanout|diamond (got \"" + o.dag_shape +
               "\")");
-  require(o.dag_fraction >= 0 && o.dag_fraction <= 1.0,
-          "--dag-fraction must be in [0,1]");
   // Unknown shapes are a usage error, not a silent steady fallback (and not
   // an abort: the nullable lookup exists exactly for CLI input).
   require(o.shape.empty() || trace::FindShapeByName(o.shape) != nullptr,
@@ -398,7 +362,7 @@ inline trace::Trace MakeTrace(
     t = trace::GenerateTrace(profile, gen);
   }
   if (o.workflow.dag) {
-    t = workflow::ApplyDagShape(t, o.dag_shape, o.dag_fraction, o.seed);
+    t = workflow::ApplyDagShape(t, o.dag_shape, kDagFraction, o.seed);
   }
   return t;
 }

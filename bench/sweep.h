@@ -7,10 +7,8 @@
 //
 // The (treatment, baseline) x fleet-multiplier grid is embarrassingly
 // parallel, so cells run concurrently under the --threads budget. Cells
-// write into slots indexed by grid position, and the table/TSV are emitted
-// only after the join, in grid order — printed output and TSV rows are
-// byte-identical to a serial run (and rows can never interleave mid-line,
-// which the old write-as-you-go loop would have allowed under concurrency).
+// write into slots indexed by grid position, and the table is printed only
+// after the join, in grid order — byte-identical to a serial run.
 // Observability outputs (--trace-out, --trace-jsonl, --timeseries) get one
 // file per cell, tagged <profile>-<scheduler>-x<multiplier>.
 #pragma once
@@ -72,21 +70,7 @@ inline void RunNormalizedSweep(const std::string& profile,
                              util::StrFormat("%g", mults[i / 2])));
   });
 
-  // Join done: emit the table and TSV serially, in grid order.
-  std::FILE* tsv = nullptr;
-  if (!o.tsv.empty()) {
-    tsv = std::fopen(o.tsv.c_str(), "a");
-    if (tsv != nullptr) {
-      // Emit the header only for a fresh file (ftell on an append stream is
-      // unreliable before the first write; seek to the real end first).
-      std::fseek(tsv, 0, SEEK_END);
-      if (std::ftell(tsv) == 0) {
-        std::fprintf(tsv,
-                     "# series\tfleet\tutil\tp50_norm\tp90_norm\tp99_norm\t"
-                     "p99_treatment_s\tp99_baseline_s\n");
-      }
-    }
-  }
+  // Join done: emit the table serially, in grid order.
   util::TextTable table({"fleet", "~paper nodes", "avg util",
                          "p50 (norm)", "p90 (norm)", "p99 (norm)",
                          "p99 " + treatment, "p99 " + baseline});
@@ -114,13 +98,7 @@ inline void RunNormalizedSweep(const std::string& profile,
          util::StrFormat("%.2f", norm(50)), util::StrFormat("%.2f", norm(90)),
          util::StrFormat("%.2f", norm(99)), util::HumanDuration(t99),
          util::HumanDuration(b99)});
-    if (tsv != nullptr) {
-      std::fprintf(tsv, "%s-%s-vs-%s\t%zu\t%.4f\t%.4f\t%.4f\t%.4f\t%.2f\t%.2f\n",
-                   profile.c_str(), treatment.c_str(), baseline.c_str(), nodes,
-                   util, norm(50), norm(90), norm(99), t99, b99);
-    }
   }
-  if (tsv != nullptr) std::fclose(tsv);
   std::printf("%s\n", table.ToString().c_str());
 }
 

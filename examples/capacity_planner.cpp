@@ -61,12 +61,20 @@ int main(int argc, char** argv) {
   flags.Parse(argc, argv);
   const std::string profile = flags.GetString("profile", "google");
   const double slo = flags.GetDouble("slo", 600.0);  // seconds
-  const auto jobs = static_cast<std::size_t>(flags.GetInt("jobs", 10000));
-  const auto base = static_cast<std::size_t>(flags.GetInt("base-nodes", 200));
-  const auto step = static_cast<std::size_t>(flags.GetInt("step", 20));
+  const std::int64_t jobs_flag = flags.GetInt("jobs", 10000);
+  const std::int64_t base_flag = flags.GetInt("base-nodes", 200);
+  const std::int64_t step_flag = flags.GetInt("step", 20);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  const auto runs = static_cast<std::size_t>(flags.GetInt("runs", 1));
+  const std::int64_t runs_flag = flags.GetInt("runs", 1);
   flags.ValidateOrExit();
+  util::RequireCountsOrExit({{"jobs", jobs_flag},
+                             {"base-nodes", base_flag},
+                             {"step", step_flag},
+                             {"runs", runs_flag}});
+  const auto jobs = static_cast<std::size_t>(jobs_flag);
+  const auto base = static_cast<std::size_t>(base_flag);
+  const auto step = static_cast<std::size_t>(step_flag);
+  const auto runs = static_cast<std::size_t>(runs_flag);
 
   // The workload is fixed (calibrated to the base fleet at 85 % load); the
   // planner asks how much hardware each scheduler needs to serve it.

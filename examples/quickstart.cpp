@@ -14,11 +14,14 @@
 int main(int argc, char** argv) {
   phoenix::util::Flags flags;
   flags.Parse(argc, argv);
-  const std::size_t nodes =
-      static_cast<std::size_t>(flags.GetInt("nodes", 600));
-  const std::size_t jobs = static_cast<std::size_t>(flags.GetInt("jobs", 6000));
+  const std::int64_t nodes_flag = flags.GetInt("nodes", 600);
+  const std::int64_t jobs_flag = flags.GetInt("jobs", 6000);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   flags.ValidateOrExit();
+  phoenix::util::RequireCountsOrExit(
+      {{"nodes", nodes_flag}, {"jobs", jobs_flag}});
+  const auto nodes = static_cast<std::size_t>(nodes_flag);
+  const auto jobs = static_cast<std::size_t>(jobs_flag);
 
   // 1. A heterogeneous fleet: machine attributes (ISA, cores, NIC speed,
   //    disks, kernel, platform, clock, memory) drawn from a skewed catalog.

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
   const std::string scheduler = flags.GetString("scheduler", "phoenix");
-  const auto nodes = static_cast<std::size_t>(flags.GetInt("nodes", 300));
+  const std::int64_t nodes_flag = flags.GetInt("nodes", 300);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   const std::string csv_path = flags.GetString("csv", "");
   const double mtbf = flags.GetDouble("mtbf", 0.0);
@@ -43,6 +43,8 @@ int main(int argc, char** argv) {
   const std::string timeseries = flags.GetString("timeseries", "");
   const bool audit = flags.GetBool("audit", false);
   flags.ValidateOrExit();
+  util::RequireCountsOrExit({{"nodes", nodes_flag}});
+  const auto nodes = static_cast<std::size_t>(nodes_flag);
   if (flags.positional().size() != 1) {
     std::fprintf(stderr,
                  "usage: replay_trace <trace-file> [--scheduler=phoenix] "

@@ -5,6 +5,7 @@
 //
 //   ./scheduler_faceoff --profile=google --nodes=300
 //   ./scheduler_faceoff --schedulers=phoenix,eagle-c --runs=3
+#include <algorithm>
 #include <cstdio>
 
 #include "cluster/builder.h"
@@ -20,14 +21,20 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
   const std::string profile = flags.GetString("profile", "google");
-  const auto nodes = static_cast<std::size_t>(flags.GetInt("nodes", 300));
-  const auto jobs =
-      static_cast<std::size_t>(flags.GetInt("jobs", static_cast<std::int64_t>(50 * nodes)));
+  const std::int64_t nodes_flag = flags.GetInt("nodes", 300);
+  // A bad --nodes is reported once, not again through the --jobs default.
+  const std::int64_t jobs_flag =
+      flags.GetInt("jobs", 50 * std::max<std::int64_t>(nodes_flag, 1));
   const double load = flags.GetDouble("load", 0.85);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  const auto runs = static_cast<std::size_t>(flags.GetInt("runs", 1));
+  const std::int64_t runs_flag = flags.GetInt("runs", 1);
   const std::string scheduler_list = flags.GetString("schedulers", "");
   flags.ValidateOrExit();
+  util::RequireCountsOrExit(
+      {{"nodes", nodes_flag}, {"jobs", jobs_flag}, {"runs", runs_flag}});
+  const auto nodes = static_cast<std::size_t>(nodes_flag);
+  const auto jobs = static_cast<std::size_t>(jobs_flag);
+  const auto runs = static_cast<std::size_t>(runs_flag);
 
   std::vector<std::string> schedulers;
   if (scheduler_list.empty()) {

@@ -23,13 +23,16 @@ int main(int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
   const std::string profile = flags.GetString("profile", "google");
-  const auto nodes = static_cast<std::size_t>(flags.GetInt("nodes", 1000));
-  const auto jobs = static_cast<std::size_t>(flags.GetInt("jobs", 20000));
+  const std::int64_t nodes_flag = flags.GetInt("nodes", 1000);
+  const std::int64_t jobs_flag = flags.GetInt("jobs", 20000);
   const double load = flags.GetDouble("load", 0.85);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
   const std::string in_path = flags.GetString("in", "");
   const std::string out_path = flags.GetString("out", "");
   flags.ValidateOrExit();
+  util::RequireCountsOrExit({{"nodes", nodes_flag}, {"jobs", jobs_flag}});
+  const auto nodes = static_cast<std::size_t>(nodes_flag);
+  const auto jobs = static_cast<std::size_t>(jobs_flag);
 
   trace::Trace trace;
   if (!in_path.empty()) {

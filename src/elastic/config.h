@@ -66,7 +66,7 @@ struct ElasticConfig {
 
   /// Mixed with the scheduler seed into the controller's private RNG
   /// stream, so reclamation draws never perturb scheduler sampling.
-  std::uint64_t seed = 0;
+  static constexpr std::uint64_t seed = 0;
 
   std::size_t universe_size() const {
     return base_machines + reserve_machines + transient_machines;

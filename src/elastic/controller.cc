@@ -166,7 +166,7 @@ void ElasticityController::ScaleUp(std::size_t step) {
     ++moved;
   }
   if (moved > 0) {
-    ++stats_.scale_up_decisions;
+    ++scheduler_.counters().elastic_scale_up_decisions;
     last_decision_ = engine_.Now();
   }
 }
@@ -197,7 +197,7 @@ void ElasticityController::ScaleDown(std::size_t step) {
                config_.drain_grace);
   }
   if (moved > 0) {
-    ++stats_.scale_down_decisions;
+    ++scheduler_.counters().elastic_scale_down_decisions;
     last_decision_ = engine_.Now();
   }
 }
@@ -236,7 +236,7 @@ MachineId ElasticityController::PickProvisionCandidate() {
       }
     }
     if (best != cluster::kInvalidMachine) {
-      ++stats_.crv_shaped_picks;
+      ++scheduler_.counters().elastic_crv_shaped_picks;
       return best;
     }
   }
@@ -288,7 +288,7 @@ bool ElasticityController::TryRetire(MachineId id, bool force) {
     auto it = drain_deadline_.find(id);
     const bool reclaimed = it != drain_deadline_.end() && it->second.reclaimed;
     if (!reclaimed && scheduler_.ParkMachine(id)) {
-      ++stats_.parks_instead_of_retire;
+      ++scheduler_.counters().power_parks_instead_of_retire;
       CloseLease(id);
       return true;
     }
@@ -303,7 +303,8 @@ void ElasticityController::CloseLease(MachineId id) {
   auto it = tasks_at_commission_.find(id);
   if (it != tasks_at_commission_.end()) {
     if (scheduler_.worker_state(id).tasks_started == it->second) {
-      stats_.wasted_warmup_seconds += config_.warmup_delay;
+      scheduler_.counters().elastic_wasted_warmup_seconds +=
+          config_.warmup_delay;
     }
     tasks_at_commission_.erase(it);
   }

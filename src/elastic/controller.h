@@ -52,21 +52,6 @@ class ElasticityController {
   /// same-instant ticks run after it).
   void Start();
 
-  /// Controller-side policy counters; the per-machine lifecycle counters
-  /// live in the scheduler's metrics::SchedulerCounters.
-  struct Stats {
-    std::uint64_t scale_up_decisions = 0;
-    std::uint64_t scale_down_decisions = 0;
-    std::uint64_t crv_shaped_picks = 0;
-    /// Scale-down drains closed by parking into deep sleep instead of
-    /// retiring (power management attached; the machine stays wakeable).
-    std::uint64_t parks_instead_of_retire = 0;
-    /// Warm-up seconds spent on leases that retired without ever starting
-    /// a task.
-    double wasted_warmup_seconds = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
  private:
   void Tick();
   /// Opens leases until transient pool members (provisioning or active)
@@ -107,7 +92,6 @@ class ElasticityController {
   /// Private stream: reclamation draws must not perturb scheduler sampling.
   util::Rng rng_;
 
-  Stats stats_;
   double last_tick_ = 0;
   double last_decision_ = 0;
   /// Draining machines -> forced-retire deadline plus whether the drain was

@@ -90,7 +90,7 @@ struct FabricConfig {
 
   /// Fabric stream seed; mixed with the run seed so per-seed experiment
   /// repeats decorrelate while staying reproducible.
-  std::uint64_t seed = 0x6e657466ULL;  // "netf"
+  static constexpr std::uint64_t seed = 0x6e657466ULL;  // "netf"
 
   /// True when the configuration cannot perturb delivery: constant latency
   /// and zero chaos. (Active partitions are runtime state, checked

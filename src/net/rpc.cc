@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "util/check.h"
-
 namespace phoenix::net {
 
 namespace {
@@ -18,10 +16,7 @@ MessageKind ReplyKind(MessageKind request) {
 }  // namespace
 
 Rpc::Rpc(sim::Engine& engine, NetworkFabric& fabric, const RpcConfig& config)
-    : engine_(engine), fabric_(fabric), config_(config) {
-  PHOENIX_CHECK_MSG(config_.timeout > 0, "rpc timeout must be positive");
-  PHOENIX_CHECK_MSG(config_.backoff >= 1.0, "rpc backoff must be >= 1");
-}
+    : engine_(engine), fabric_(fabric), config_(config) {}
 
 double Rpc::AttemptDeadline(const Call& call) const {
   const double base = std::max(config_.timeout, 3.0 * call.nominal);

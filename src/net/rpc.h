@@ -39,11 +39,11 @@ struct RpcConfig {
   /// Base per-attempt deadline, seconds. The effective deadline is
   /// max(timeout, 3 x nominal transit) so a latency sweep cannot push every
   /// attempt into spurious timeout.
-  double timeout = 0.01;
+  static constexpr double timeout = 0.01;
   /// Retries after the first attempt (total attempts = max_retries + 1).
   std::size_t max_retries = 3;
   /// Deadline multiplier per retry (exponential backoff).
-  double backoff = 2.0;
+  static constexpr double backoff = 2.0;
 };
 
 struct RpcStats {

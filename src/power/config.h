@@ -20,7 +20,7 @@ struct PowerPolicy {
 
   /// A machine must be continuously idle (no running task, empty queue)
   /// for this long before it becomes a park candidate.
-  double park_idle_after = 30.0;
+  static constexpr double park_idle_after = 30.0;
   /// Consolidation target: park excess machines until the observed fleet
   /// utilization would run at roughly this rho on the remaining awake
   /// capacity. Probes only sample bindable machines, so parking the excess
@@ -29,11 +29,11 @@ struct PowerPolicy {
   static constexpr double park_target_rho = 0.6;
   /// Never park below this fraction of the fleet kept bindable — the
   /// floor bounds worst-case wake storms after a lull.
-  double min_active_fraction = 0.25;
+  static constexpr double min_active_fraction = 0.25;
   /// Parks are suppressed (and wakes issued) while the fleet-mean E[W]
   /// exceeds wake_wait_factor * target_wait.
-  double target_wait = 5.0;
-  double wake_wait_factor = 1.5;
+  static constexpr double target_wait = 5.0;
+  static constexpr double wake_wait_factor = 1.5;
   /// Per-tick actuation caps: at most this many parks/wakes per decision.
   static constexpr std::size_t park_step = 4;
   static constexpr std::size_t wake_step = 4;
@@ -46,7 +46,7 @@ struct PowerPolicy {
 
   /// CRV supply weight of a parked machine that satisfies a predicate:
   /// sleeping capacity counts as wake-discounted supply (0 disables).
-  double parked_supply_weight = 0.5;
+  static constexpr double parked_supply_weight = 0.5;
   /// A parked worker's advertised E[W] is wake_penalty_factor x its
   /// wake latency — the wake cost folded into WorkerWaitEstimator.
   static constexpr double wake_penalty_factor = 1.0;

@@ -134,16 +134,6 @@ metrics::SimReport RunSimulation(const trace::Trace& trace,
   auto report = scheduler->BuildReport();
   report.sim_wall_seconds = wall_seconds;
   report.events_fired = engine.events_fired();
-  if (controller) {
-    const auto& stats = controller->stats();
-    report.counters.elastic_scale_up_decisions = stats.scale_up_decisions;
-    report.counters.elastic_scale_down_decisions = stats.scale_down_decisions;
-    report.counters.elastic_crv_shaped_picks = stats.crv_shaped_picks;
-    report.counters.elastic_wasted_warmup_seconds =
-        stats.wasted_warmup_seconds;
-    report.counters.power_parks_instead_of_retire =
-        stats.parks_instead_of_retire;
-  }
   if (power_ctl) {
     const auto& stats = power_ctl->stats();
     report.counters.power_park_vetoes_coverage = stats.park_vetoes_coverage;

@@ -111,6 +111,9 @@ class SchedulerBase {
     return workers_[id];
   }
   std::size_t num_machines() const { return workers_.size(); }
+  /// The run's counters, which BuildReport copies into the report. The
+  /// elasticity controller counts its own decisions into them too.
+  metrics::SchedulerCounters& counters() { return counters_; }
 
   // Lifecycle actuators, driven by the elasticity controller. All require
   // an attached membership view and emit the corresponding obs events.
@@ -404,7 +407,6 @@ class SchedulerBase {
   /// parameter every scheduler shares (no per-scheduler delay constants).
   double one_way() const { return config_.net.one_way; }
   util::Rng& rng() { return rng_; }
-  metrics::SchedulerCounters& counters() { return counters_; }
   const metrics::SchedulerCounters& counters_view() const { return counters_; }
 
   /// Estimated one-task duration the scheduler knows for a job.

@@ -200,4 +200,16 @@ bool Flags::Validate() {
   return true;
 }
 
+void RequireCountsOrExit(std::initializer_list<CountFlag> counts) {
+  bool ok = true;
+  for (const CountFlag& c : counts) {
+    if (c.value >= c.min) continue;
+    std::fprintf(stderr, "--%s must be >= %lld (got %lld)\n", c.name,
+                 static_cast<long long>(c.min),
+                 static_cast<long long>(c.value));
+    ok = false;
+  }
+  if (!ok) std::exit(1);
+}
+
 }  // namespace phoenix::util

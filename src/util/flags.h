@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <utility>
@@ -84,5 +85,17 @@ class Flags {
   std::vector<std::string> positional_;
   std::string error_;
 };
+
+/// A count or size flag's value and the least it may be.
+struct CountFlag {
+  const char* name;
+  std::int64_t value;
+  std::int64_t min = 1;
+};
+
+/// Bad sizes are usage errors, not aborts deep in a constructor: prints
+/// "--<name> must be >= <min> (got <value>)" to stderr for every count below
+/// its minimum, and exits 1 if there was any. Call after ValidateOrExit.
+void RequireCountsOrExit(std::initializer_list<CountFlag> counts);
 
 }  // namespace phoenix::util
