@@ -102,9 +102,25 @@ void DagDeadline(Setup& s) {
   s.dag_overlay = true;
 }
 
+// DVFS on a long, lightly loaded diurnal run (40 jobs per worker at load
+// 0.05): idle stretches of thousands of ticks drive idle machines'
+// utilization EWMAs through the subnormal range onto the fixed point the
+// power controller's sample skips (at load 0.5 no EWMA leaves the normal
+// range on this fleet).
+void PowerDvfsLongIdle(Setup& s) {
+  s.gen.num_jobs = 40 * kWorkers;
+  s.gen.target_load = 0.05;
+  trace::ApplyLoadShape(trace::ShapeByName("diurnal"), s.gen);
+  s.run.power.enabled = true;
+  s.run.power.policy.park = false;
+}
+
 struct FeatureSet {
   const char* name;
   void (*apply)(Setup&);
+  /// Heartbeats the row must reach: a row that exists to cover a long-run
+  /// regime fails, instead of passing vacuously, once it stops covering it.
+  std::uint64_t min_heartbeats = 0;
 };
 
 // Packing with parking is left out: it can livelock (ROADMAP item 1).
@@ -167,13 +183,15 @@ const FeatureSet kFeatureSets[] = {
        ElasticChurn(s);
        ChaosAudit(s);
      }},
+    // An idle EWMA leaves the normal range after ~3,200 idle ticks.
+    {"power-dvfs-long-idle", PowerDvfsLongIdle, 3300},
 };
 
 std::string RowName(const std::string& scheduler, const FeatureSet& f) {
   return scheduler + " " + f.name;
 }
 
-std::string RunRow(const std::string& scheduler, const FeatureSet& f) {
+metrics::SimReport RunRow(const std::string& scheduler, const FeatureSet& f) {
   Setup s;
   s.gen = trace::ProfileByName("google");
   s.gen.num_jobs = kJobs;
@@ -187,7 +205,7 @@ std::string RunRow(const std::string& scheduler, const FeatureSet& f) {
   if (s.dag_overlay) t = workflow::ApplyDagShape(t, "chain", 0.3, kSeed);
   const auto cl =
       cluster::BuildCluster({.num_machines = kWorkers, .seed = kSeed});
-  return metrics::Fingerprint(runner::RunSimulation(t, cl, s.run));
+  return runner::RunSimulation(t, cl, s.run);
 }
 
 // Committed rows keyed by "scheduler feature-set".
@@ -232,7 +250,9 @@ TEST_P(GoldenPaths, FingerprintMatchesCommittedTable) {
   const auto it = table.find(name);
   ASSERT_NE(it, table.end()) << "row missing from " << PHOENIX_GOLDEN_TABLE
                              << ": " << name;
-  EXPECT_EQ(RunRow(row.scheduler, *row.features), it->second) << name;
+  const metrics::SimReport report = RunRow(row.scheduler, *row.features);
+  EXPECT_EQ(metrics::Fingerprint(report), it->second) << name;
+  EXPECT_GE(report.counters.heartbeats, row.features->min_heartbeats) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -255,7 +275,7 @@ int Regenerate(const std::string& path) {
          "regenerate with scripts/regen_golden.sh)\n";
   for (const Row& row : AllRows()) {
     out << RowName(row.scheduler, *row.features) << " "
-        << RunRow(row.scheduler, *row.features) << "\n";
+        << metrics::Fingerprint(RunRow(row.scheduler, *row.features)) << "\n";
   }
   return out ? 0 : 1;
 }
