@@ -67,10 +67,15 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   const std::int64_t runs_flag = flags.GetInt("runs", 1);
   flags.ValidateOrExit();
-  util::RequireCountsOrExit({{"jobs", jobs_flag},
-                             {"base-nodes", base_flag},
-                             {"step", step_flag},
-                             {"runs", runs_flag}});
+  util::UsageErrors errors;
+  errors.RequireCounts({{"jobs", jobs_flag},
+                        {"base-nodes", base_flag},
+                        {"step", step_flag},
+                        {"runs", runs_flag}});
+  errors.Require(trace::FindProfileByName(profile) != nullptr,
+                 "--profile must be google, yahoo or cloudera (got " +
+                     profile + ")");
+  errors.ExitIfAny();
   const auto jobs = static_cast<std::size_t>(jobs_flag);
   const auto base = static_cast<std::size_t>(base_flag);
   const auto step = static_cast<std::size_t>(step_flag);

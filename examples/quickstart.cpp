@@ -18,8 +18,9 @@ int main(int argc, char** argv) {
   const std::int64_t jobs_flag = flags.GetInt("jobs", 6000);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   flags.ValidateOrExit();
-  phoenix::util::RequireCountsOrExit(
-      {{"nodes", nodes_flag}, {"jobs", jobs_flag}});
+  phoenix::util::UsageErrors errors;
+  errors.RequireCounts({{"nodes", nodes_flag}, {"jobs", jobs_flag}});
+  errors.ExitIfAny();
   const auto nodes = static_cast<std::size_t>(nodes_flag);
   const auto jobs = static_cast<std::size_t>(jobs_flag);
 

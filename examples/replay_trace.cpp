@@ -43,7 +43,9 @@ int main(int argc, char** argv) {
   const std::string timeseries = flags.GetString("timeseries", "");
   const bool audit = flags.GetBool("audit", false);
   flags.ValidateOrExit();
-  util::RequireCountsOrExit({{"nodes", nodes_flag}});
+  util::UsageErrors errors;
+  errors.RequireCounts({{"nodes", nodes_flag}});
+  errors.ExitIfAny();
   const auto nodes = static_cast<std::size_t>(nodes_flag);
   if (flags.positional().size() != 1) {
     std::fprintf(stderr,

@@ -30,8 +30,16 @@ int main(int argc, char** argv) {
   const std::int64_t runs_flag = flags.GetInt("runs", 1);
   const std::string scheduler_list = flags.GetString("schedulers", "");
   flags.ValidateOrExit();
-  util::RequireCountsOrExit(
+  util::UsageErrors errors;
+  errors.RequireCounts(
       {{"nodes", nodes_flag}, {"jobs", jobs_flag}, {"runs", runs_flag}});
+  // The trace generator calibrates arrivals to this offered load.
+  errors.Require(load > 0 && load < 1.5,
+                 util::StrFormat("--load must be in (0, 1.5) (got %g)", load));
+  errors.Require(trace::FindProfileByName(profile) != nullptr,
+                 "--profile must be google, yahoo or cloudera (got " +
+                     profile + ")");
+  errors.ExitIfAny();
   const auto nodes = static_cast<std::size_t>(nodes_flag);
   const auto jobs = static_cast<std::size_t>(jobs_flag);
   const auto runs = static_cast<std::size_t>(runs_flag);

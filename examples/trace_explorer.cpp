@@ -30,7 +30,15 @@ int main(int argc, char** argv) {
   const std::string in_path = flags.GetString("in", "");
   const std::string out_path = flags.GetString("out", "");
   flags.ValidateOrExit();
-  util::RequireCountsOrExit({{"nodes", nodes_flag}, {"jobs", jobs_flag}});
+  util::UsageErrors errors;
+  errors.RequireCounts({{"nodes", nodes_flag}, {"jobs", jobs_flag}});
+  // The trace generator calibrates arrivals to this offered load.
+  errors.Require(load > 0 && load < 1.5,
+                 util::StrFormat("--load must be in (0, 1.5) (got %g)", load));
+  errors.Require(trace::FindProfileByName(profile) != nullptr,
+                 "--profile must be google, yahoo or cloudera (got " +
+                     profile + ")");
+  errors.ExitIfAny();
   const auto nodes = static_cast<std::size_t>(nodes_flag);
   const auto jobs = static_cast<std::size_t>(jobs_flag);
 

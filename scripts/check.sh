@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Repo health check: configure, build, run the full test suite (every label,
-# golden included), then smoke the observability stack (audited bench run +
-# Chrome trace validity), elastic churn, multi-tenant preemption, network
-# chaos, multi-shard gossip, the power subsystem (audited diurnal energy
-# run), packed gang/malleable chaos, DAG/deadline scheduling (audited chaos
-# run), and core throughput (perf smoke).
+# golden and the audited energy and packed gang/malleable chaos smokes of
+# `ctest -L smoke` included), then smoke the observability stack (audited
+# bench run + Chrome trace validity), elastic churn, multi-tenant
+# preemption, network chaos, multi-shard gossip, DAG/deadline scheduling
+# (audited chaos run), and core throughput (perf smoke).
 # Usage: scripts/check.sh [build-dir]   (default: build)
 set -euo pipefail
 
@@ -158,76 +158,6 @@ print(f"federation smoke ok: {len(sharded)} audited multi-shard cells, "
 EOF
 else
   echo "federation smoke ok (python3 not found; skipped JSON validation)"
-fi
-
-echo "== audited energy smoke =="
-# Diurnal load with deep park + DVFS and the invariant auditor on: the
-# auditor enforces power-transition legality (no binding to a parked
-# machine, no DVFS while asleep, no double park/wake) and re-integrates
-# the kPowerState stream against the meter total (energy conservation) —
-# it aborts the run on any violation, so exiting 0 IS the
-# violations == 0 assertion. The JSON then proves the policies engaged.
-"$BUILD_DIR/bench/bench_ext_energy" \
-  --nodes=48 --jobs=600 --runs=1 --audit \
-  --json="$SMOKE_DIR/energy.json" >/dev/null
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$SMOKE_DIR/energy.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-cells = doc["cells"]
-assert cells, "no bench cells"
-assert all(c["joules"] > 0 for c in cells), "a cell metered zero joules"
-parked = [c for c in cells if c["policy"] in ("park", "all")]
-assert parked, "no park-policy cells"
-assert any(c["parks"] > 0 and c["sleep_fraction"] > 0 for c in parked), \
-    "deep park never engaged"
-meter = {(c["scheduler"], c["shape"]): c["joules"]
-         for c in cells if c["policy"] == "meter"}
-assert any(c["joules"] < meter[(c["scheduler"], c["shape"])]
-           for c in parked), "parking saved no energy vs always-on"
-print(f"energy smoke ok: {len(cells)} audited cells, joules metered, "
-      "parks engaged, park < meter")
-EOF
-else
-  echo "energy smoke ok (python3 not found; skipped JSON validation)"
-fi
-
-echo "== audited packed chaos smoke =="
-# Gang + malleable mixes on a lossy, reordering fabric with the invariant
-# auditor on: per-machine claims minus releases must return to exactly zero
-# (capacity conservation) and every gang reservation round must close in
-# exactly one commit or abort (gang atomicity) — the runner aborts on any
-# violation, so exiting 0 is the assertion. The JSON then proves the
-# subsystem engaged: packed co-location, gang commits, malleable width
-# churn.
-"$BUILD_DIR/bench/bench_ext_packing" \
-  --nodes=32 --jobs=600 --runs=1 --audit \
-  --net-model=lognormal --net-drop=0.02 --rpc-retries=4 \
-  --json="$SMOKE_DIR/packing.json" >/dev/null
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$SMOKE_DIR/packing.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-cells = doc["cells"]
-assert cells, "no bench cells"
-assert doc["config"]["audit"] is True, "packing smoke must run audited"
-assert all(0 < c["packing_efficiency"] <= 1 for c in cells), \
-    "packing efficiency outside (0, 1]"
-assert all(c["packed_tasks"] > 0 for c in cells), "a cell never packed"
-gangs = [c for c in cells if c["mix"] in ("gang", "mixed")]
-assert gangs and any(c["gang_commits"] > 0 for c in gangs), \
-    "gang commits never engaged"
-malleable = [c for c in cells if c["mix"] in ("malleable", "mixed")]
-assert malleable and any(
-    c["malleable_expands"] + c["malleable_shrinks"] > 0
-    for c in malleable), "malleable width never moved"
-print(f"packed chaos smoke ok: {len(cells)} audited cells, "
-      "ledger balanced, gangs committed, widths moved")
-EOF
-else
-  echo "packed chaos smoke ok (python3 not found; skipped JSON validation)"
 fi
 
 echo "== audited dag chaos smoke =="

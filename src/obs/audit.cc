@@ -613,6 +613,25 @@ void InvariantAuditor::CheckWorker(double now, std::uint32_t machine,
   }
 }
 
+void InvariantAuditor::CheckHints(double now, std::uint32_t machine,
+                                  const WorkerHints& hinted,
+                                  const WorkerHints& actual) {
+  const struct {
+    const char* name;
+    bool hinted;
+    bool actual;
+  } hints[] = {{"live", hinted.live, actual.live},
+               {"occupied", hinted.occupied, actual.occupied},
+               {"steal gate", hinted.steal_gate, actual.steal_gate},
+               {"long busy", hinted.long_busy, actual.long_busy}};
+  for (const auto& h : hints) {
+    if (h.hinted == h.actual) continue;
+    Violate(util::StrFormat(
+        "machine %u %s hint reads %d but its worker gives %d at t=%.6f",
+        machine, h.name, h.hinted ? 1 : 0, h.actual ? 1 : 0, now));
+  }
+}
+
 void InvariantAuditor::CheckRun(double now, std::uint32_t machine,
                                 std::uint32_t job, std::uint32_t task,
                                 bool failed, bool out_of_service,

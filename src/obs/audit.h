@@ -58,7 +58,10 @@
 //     end of the run) — a fetch holding a worker's control slot always has
 //     a live RPC, a failed worker holds no fetch, every run has its pending
 //     completion event on an in-service, live machine, and queues and run
-//     lists drain by the end of the run.
+//     lists drain by the end of the run;
+//   * hint agreement (fed the same way) — every dense per-machine hint the
+//     scheduler's heartbeat passes read (live, occupied, steal gate, long
+//     busy) equals the value the worker record gives.
 //
 // The auditor only records violations; the runner (or test) decides
 // whether to abort. `ok()` + `Summary()` give the verdict.
@@ -75,6 +78,15 @@
 
 namespace phoenix::obs {
 
+/// The dense per-machine hints a scheduler keeps beside its worker records
+/// for its heartbeat passes (sched::SchedulerBase, DESIGN §4b2).
+struct WorkerHints {
+  bool live = false;        // up and bindable
+  bool occupied = false;    // holds a fetch, queued entries or runs
+  bool steal_gate = false;  // wants work, no steal in flight, bindable
+  bool long_busy = false;   // holds long work, queued or running
+};
+
 class InvariantAuditor final : public EventSink {
  public:
   InvariantAuditor() = default;
@@ -90,6 +102,12 @@ class InvariantAuditor final : public EventSink {
                    bool has_live_slot_event, std::size_t queue_len,
                    double est_queued_work, bool final_state,
                    bool out_of_service = false);
+
+  /// Hint check: every hint the scheduler stores for `machine` (`hinted`)
+  /// must equal the value its worker record gives (`actual`). A hint left
+  /// stale by a missed refresh misleads every heartbeat pass that reads it.
+  void CheckHints(double now, std::uint32_t machine, const WorkerHints& hinted,
+                  const WorkerHints& actual);
 
   /// Structural check of one executing run on `machine`: a run never sits
   /// on a failed or out-of-service machine, is always backed by its pending

@@ -39,7 +39,9 @@
 //      asleep, the scheduler's dispatch-time demand wake covers it.
 //
 // Every scan is an ascending-id loop with no RNG, so powered runs stay
-// fingerprint-identical across --threads for free.
+// fingerprint-identical across --threads for free. The fleet scans walk
+// the scheduler's dense live set and occupancy hints, and read a worker
+// record only for an occupied machine's wait estimate.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +58,14 @@ class PhoenixScheduler;
 }  // namespace phoenix::core
 
 namespace phoenix::power {
+
+/// One tick of a machine's utilization EWMA: `ewma + 0.2 * (x - ewma)`
+/// with x = 1 when the machine is occupied, 0 when idle — bit for bit,
+/// but an idle step from at most 2 x denorm_min returns `ewma` without the
+/// arithmetic. There the decrement rounds to zero, so the step is a fixed
+/// point, and subnormal arithmetic costs a microcode assist per operation
+/// on a value a long-idle machine keeps for the rest of the run.
+double StepUtilEwma(double ewma, bool occupied);
 
 /// The median (the element at index size/2 once sorted) of a wait list
 /// made of `zeros` zero waits and the positive waits in `nonzero`, which

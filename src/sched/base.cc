@@ -39,6 +39,9 @@ SchedulerBase::SchedulerBase(sim::Engine& engine,
     workers_.back().id = static_cast<MachineId>(i);
   }
   short_probe_counts_.assign(cluster.size(), 0);
+  live_.Resize(cluster.size());
+  occupied_.assign(cluster.size(), 0);
+  steal_gate_.assign(cluster.size(), 0);
   long_busy_.assign(cluster.size(), 0);
   if (config_.packing.enabled) {
     packing_on_ = true;
@@ -76,6 +79,7 @@ SchedulerBase::SchedulerBase(sim::Engine& engine,
   }
   dag_on_ = config_.workflow.dag;
   deadline_on_ = config_.workflow.deadline;
+  for (const WorkerState& w : workers_) RefreshHints(w);
 }
 
 void SchedulerBase::EnableFederation(const federation::FederationConfig& cfg) {
@@ -98,6 +102,8 @@ void SchedulerBase::SetMembership(cluster::MembershipView* membership) {
                     "membership view must be over this scheduler's cluster");
   membership_ = membership;
   last_membership_change_ = engine_.Now();
+  // The view may start machines parked: every bindable-derived hint moves.
+  for (const WorkerState& w : workers_) RefreshHints(w);
 }
 
 void SchedulerBase::SetPower(power::PowerManager* power) {
@@ -130,6 +136,8 @@ void SchedulerBase::ProvisionMachine(MachineId id, double warmup_delay) {
     const double watts = power_->Wake(id, engine_.Now());
     Emit(EventType::kPowerState, obs::kNoId, id, obs::kNoId, watts);
   }
+  // Parked or retired -> provisioning: the machine stays unbindable, so no
+  // hint moves.
   membership_->SetState(id, cluster::MachineLifecycle::kProvisioning);
   ++counters_.elastic_provisions;
   counters_.elastic_warmup_seconds += warmup_delay;
@@ -149,6 +157,7 @@ void SchedulerBase::CommissionMachine(MachineId id) {
   // taught the estimator (or a stale congestion mark) no longer describes
   // this machine.
   ResetLoadSignals(w);
+  RefreshHints(w);
   TryStartNext(w);
 }
 
@@ -165,7 +174,8 @@ void SchedulerBase::DrainMachine(MachineId id, DrainReason reason) {
   ++counters_.elastic_drains;
   Emit(EventType::kMachineDrain, obs::kNoId, id);
   // Free a fetch-held control slot — its round trip would bind a new task
-  // here. Runs keep going and finish within the grace period.
+  // here. Runs keep going and finish within the grace period. EvictWork
+  // refreshes the hints, the lifecycle move included.
   EvictWork(w, /*kill_runs=*/false);
   // Bounce queued probes elsewhere (resolving one would also bind new
   // work); already-bound tasks stay and may still run before the retire.
@@ -197,6 +207,8 @@ bool SchedulerBase::RetireMachine(MachineId id, bool force) {
     }
   }
   AccrueInService();
+  // Draining -> retired: the machine stays unbindable, so no hint moves
+  // (a forced retire's evictions refreshed them above).
   membership_->SetState(id, cluster::MachineLifecycle::kRetired);
   if (force) {
     ++counters_.elastic_retires_forced;
@@ -238,6 +250,7 @@ bool SchedulerBase::ParkMachine(MachineId id) {
   // estimator reads exactly the wake penalty, so probe targeting and the
   // elastic controller see "available, but at wake cost".
   ResetLoadSignals(w);
+  RefreshHints(w);
   w.estimator.SetWakePenalty(power_->WakePenalty(id));
   return true;
 }
@@ -340,6 +353,7 @@ void SchedulerBase::AuditWorkers(bool final_state, MachineId lo,
                           w.pending_call != 0 && rpc_.Alive(w.pending_call),
                           w.queue.size(), w.est_queued_work, final_state,
                           out_of_service);
+    auditor_->CheckHints(now, w.id, StoredHints(w.id), HintsOf(w));
     for (const Run& run : w.runs) {
       auditor_->CheckRun(now, w.id, run.job, run.task_index, w.failed,
                          out_of_service, engine_.IsPending(run.pending_event),
@@ -563,7 +577,7 @@ void SchedulerBase::EvictWork(WorkerState& worker, bool kill_runs) {
     }
   }
   if (kill_runs) EvictGangReservations(worker);
-  RefreshLongBusy(worker);
+  RefreshHints(worker);
 }
 
 void SchedulerBase::ReleaseControlSlot(WorkerState& worker) {
@@ -594,13 +608,48 @@ void SchedulerBase::ResetLoadSignals(WorkerState& worker) {
   worker.steal_inflight = false;
 }
 
-void SchedulerBase::RefreshLongBusy(const WorkerState& worker) {
-  bool long_work = worker.long_entries > 0;
+obs::WorkerHints SchedulerBase::HintsOf(const WorkerState& worker) const {
+  obs::WorkerHints h;
+  const bool bindable = Bindable(worker.id);
+  h.live = bindable && !worker.failed;
+  h.occupied = worker.HoldsWork();
+  h.steal_gate = bindable && !worker.steal_inflight && !worker.busy &&
+                 worker.queue.empty() && (packing_on_ || worker.runs.empty());
+  h.long_busy = worker.long_entries > 0;
   for (const Run& run : worker.runs) {
-    if (long_work) break;
-    long_work = !jobs_[run.job].short_class;
+    if (h.long_busy) break;
+    h.long_busy = !run.short_class;
   }
-  long_busy_[worker.id] = long_work ? 1 : 0;
+  return h;
+}
+
+obs::WorkerHints SchedulerBase::StoredHints(MachineId id) const {
+  obs::WorkerHints h;
+  h.live = live_.Test(id);
+  h.occupied = Occupied(id);
+  h.steal_gate = StealGate(id);
+  h.long_busy = LongBusy(id);
+  return h;
+}
+
+void SchedulerBase::RefreshHints(const WorkerState& worker) {
+  const obs::WorkerHints h = HintsOf(worker);
+  const MachineId id = worker.id;
+  if (h.live != live_.Test(id)) {
+    const std::uint64_t copies = packing_on_ ? mean_copies_[id] : 0;
+    if (h.live) {
+      live_.Set(id);
+      ++live_count_;
+      live_copies_ += copies;
+    } else {
+      live_.Reset(id);
+      --live_count_;
+      live_copies_ -= copies;
+    }
+  }
+  occupied_[id] = h.occupied ? 1 : 0;
+  steal_gate_[id] = h.steal_gate ? 1 : 0;
+  long_busy_[id] = h.long_busy ? 1 : 0;
 }
 
 void SchedulerBase::FailMachine(WorkerState& worker, bool auto_repair) {
@@ -636,6 +685,7 @@ void SchedulerBase::RepairMachine(WorkerState& worker) {
   // killed or re-dispatched, so carrying them over would skew wait-aware
   // probe ranking and CRV reordering until the next heartbeat.
   ResetLoadSignals(worker);
+  RefreshHints(worker);
   Emit(EventType::kMachineRepair, obs::kNoId, worker.id);
   TryStartNext(worker);
   if (config_.machine_mtbf > 0 && !AllJobsDone()) {
@@ -661,13 +711,11 @@ void SchedulerBase::HeartbeatTick(std::uint32_t shard) {
     // same cadence as every other load signal (heartbeat synchronization).
     // Federated runs read the gossiped global view at admission instead.
     double sum = 0;
-    std::size_t live = 0;
-    for (const WorkerState& w : workers_) {
-      if (w.failed || !Bindable(w.id)) continue;
-      sum += w.estimator.EstimateWait();
-      ++live;
-    }
-    fleet_wait_estimate_ = live > 0 ? sum / static_cast<double>(live) : 0;
+    live_.ForEachSetBit(0, live_.size(), [&](std::size_t id) {
+      sum += workers_[id].estimator.EstimateWait();
+    });
+    fleet_wait_estimate_ =
+        live_count_ > 0 ? sum / static_cast<double>(live_count_) : 0;
   }
   OnHeartbeat(lo, hi);
   if (packing_on_) {
@@ -675,14 +723,11 @@ void SchedulerBase::HeartbeatTick(std::uint32_t shard) {
     // least-consumed capacity dimension of each live machine. High spread =
     // stranded capacity (e.g. cores free but memory exhausted).
     double spread_sum = 0;
-    std::size_t live = 0;
-    for (const WorkerState& w : workers_) {
-      if (w.failed || !Bindable(w.id)) continue;
-      spread_sum += residual_spread_[w.id];
-      ++live;
-    }
-    if (live > 0) {
-      frag_sum_ += spread_sum / static_cast<double>(live);
+    live_.ForEachSetBit(0, live_.size(), [&](std::size_t id) {
+      spread_sum += residual_spread_[id];
+    });
+    if (live_count_ > 0) {
+      frag_sum_ += spread_sum / static_cast<double>(live_count_);
       ++frag_samples_;
     }
     RefreshMalleableWidths();
@@ -719,14 +764,12 @@ void SchedulerBase::RefreshShardDigest(std::uint32_t shard, MachineId lo,
   double sum = 0;
   std::uint32_t live = 0;
   std::uint32_t free_slots = 0;
-  for (MachineId i = lo; i < hi; ++i) {
-    const WorkerState& w = workers_[i];
-    if (w.failed || !Bindable(i)) continue;
+  live_.ForEachSetBit(lo, hi, [&](std::size_t i) {
     ++live;
     // Clamp so one saturated estimator cannot poison the gossiped mean.
-    sum += std::min(w.estimator.EstimateWait(), 1e6);
-    if (!w.HoldsWork()) ++free_slots;
-  }
+    sum += std::min(workers_[i].estimator.EstimateWait(), 1e6);
+    if (occupied_[i] == 0) ++free_slots;
+  });
   federation_->RefreshLocal(shard, live > 0 ? sum / live : 0, live,
                             free_slots);
 }
@@ -1343,10 +1386,11 @@ void SchedulerBase::EnqueueEntry(WorkerState& worker, QueueEntry entry) {
   worker.est_queued_work += entry.est_duration;
   if (entry.kind == QueueEntry::Kind::kBoundTask && !entry.short_class) {
     ++worker.long_entries;
-    RefreshLongBusy(worker);
   } else if (entry.kind == QueueEntry::Kind::kProbe && entry.short_class) {
     ++short_probe_counts_[worker.id];
+    ++short_probes_queued_;
   }
+  RefreshHints(worker);
   worker.estimator.OnArrival(engine_.Now());
   OnEntryEnqueued(worker, entry);
   if (tenancy_on_) TenantQueuedDelta(entry, +1);
@@ -1358,6 +1402,7 @@ void SchedulerBase::GiveUpEntry(MachineId target, QueueEntry entry) {
   // target's steal marker, else a lost steal transfer would block that
   // worker from ever stealing again.
   workers_[target].steal_inflight = false;
+  RefreshHints(workers_[target]);
   if (packing_on_ && !gangs_.empty()) {
     auto it = gangs_.find(entry.job);
     if (it != gangs_.end()) {
@@ -1416,13 +1461,14 @@ QueueEntry SchedulerBase::RemoveQueueAt(WorkerState& worker,
   if (entry.kind == QueueEntry::Kind::kBoundTask && !entry.short_class) {
     PHOENIX_CHECK(worker.long_entries > 0);
     --worker.long_entries;
-    RefreshLongBusy(worker);
   } else if (entry.kind == QueueEntry::Kind::kProbe && entry.short_class &&
              short_probe_counts_[worker.id] > 0) {
     // Saturating, like est_queued_work above: white-box tests stuff queues
     // directly without going through DeliverEntry's accounting.
     --short_probe_counts_[worker.id];
+    --short_probes_queued_;
   }
+  RefreshHints(worker);
   OnEntryDequeued(worker, entry);
   if (tenancy_on_) TenantQueuedDelta(entry, -1);
   return entry;
@@ -1482,6 +1528,7 @@ void SchedulerBase::TryStartNext(WorkerState& worker) {
     worker.busy = true;
     worker.resolving = true;
     worker.resolving_entry = entry;
+    RefreshHints(worker);
     worker.pending_call = rpc_.RoundTrip(
         worker.id, net::kControllerNode, net::MessageKind::kFetchRequest,
         one_way(),
@@ -1500,6 +1547,7 @@ void SchedulerBase::TryStartNext(WorkerState& worker) {
 void SchedulerBase::AbortFetch(MachineId wid) {
   WorkerState& w = workers_[wid];
   ReleaseControlSlot(w);
+  RefreshHints(w);
   TryStartNext(w);
 }
 
@@ -1508,6 +1556,7 @@ void SchedulerBase::ResolveProbe(WorkerState& worker, QueueEntry entry) {
   PHOENIX_CHECK(job.outstanding_probes > 0);
   --job.outstanding_probes;
   worker.busy = false;  // the fetch has landed
+  RefreshHints(worker);
   const cluster::RackId rack = cluster_.rack_of(worker.id);
   const auto remaining =
       static_cast<std::uint32_t>(job.num_tasks()) - job.next_unplaced +
@@ -1592,6 +1641,7 @@ void SchedulerBase::StartRun(WorkerState& worker, JobRuntime& job,
   run.run_id = worker.next_run_id++;
   run.start = now;
   run.until = now + duration;
+  run.short_class = job.short_class;
   if (popped != nullptr) {
     run.bypass_exhausted = popped->bypass_count >= config_.slack_threshold;
     run.preempt_count = popped->preempt_count;
@@ -1603,7 +1653,7 @@ void SchedulerBase::StartRun(WorkerState& worker, JobRuntime& job,
         FinishRun(wid, rid, duration);
       });
   worker.runs.push_back(run);
-  RefreshLongBusy(worker);
+  RefreshHints(worker);
 }
 
 void SchedulerBase::FinishRun(MachineId wid, std::uint32_t run_id,
@@ -1638,7 +1688,7 @@ void SchedulerBase::FinishRun(MachineId wid, std::uint32_t run_id,
   Emit(EventType::kTaskComplete, job.id, wid, run.task_index, duration);
   ++job.completed;
   makespan_ = std::max(makespan_, now);
-  RefreshLongBusy(worker);
+  RefreshHints(worker);
   if (job.Done()) {
     job.completion = now;
     ++jobs_done_;
@@ -1666,6 +1716,7 @@ void SchedulerBase::FinishRun(MachineId wid, std::uint32_t run_id,
     // marks the in-flight fetch so a machine failure can re-cover the job.
     worker.busy = true;
     worker.fetching_job = job.id;
+    RefreshHints(worker);
     Emit(EventType::kStickyFetch, job.id, wid);
     worker.pending_call = rpc_.RoundTrip(
         wid, net::kControllerNode, net::MessageKind::kFetchRequest, one_way(),
@@ -1675,6 +1726,7 @@ void SchedulerBase::FinishRun(MachineId wid, std::uint32_t run_id,
           w.pending_call = 0;
           w.fetching_job = trace::kInvalidJob;
           w.busy = false;
+          RefreshHints(w);
           if (!j.AllPlaced()) {
             // A sticky-fetched task never sat in a queue: fresh state.
             NoteRackCommitment(j, cluster_.rack_of(wid));
@@ -1710,15 +1762,25 @@ void SchedulerBase::MeterExecEnd(const WorkerState& worker) {
   }
 }
 
-bool SchedulerBase::TryStealFor(WorkerState& worker) {
-  if (worker.steal_inflight) return false;
-  // A draining (or not-yet-commissioned) thief must not pull new work in.
-  if (!Bindable(worker.id)) return false;
-  const cluster::Machine& self = cluster_.machine(worker.id);
+bool SchedulerBase::TryStealFor(MachineId thief) {
+  // No steal in flight, and bindable: a draining (or not-yet-commissioned)
+  // thief must not pull new work in. The gate adds that the thief wants
+  // work, which both callers already know.
+  if (!StealGate(thief)) return false;
+  if (short_probes_queued_ == 0) {
+    // No short probe is queued anywhere, so every victim scan below would
+    // come up empty. Make the victim draws alone: later decisions depend on
+    // the RNG stream they advance.
+    for (std::size_t a = 0; a < config_.steal_candidates; ++a) {
+      rng_.NextBounded(workers_.size());
+    }
+    return false;
+  }
+  const cluster::Machine& self = cluster_.machine(thief);
   for (std::size_t attempt = 0; attempt < config_.steal_candidates; ++attempt) {
     const auto victim_id =
         static_cast<MachineId>(rng_.NextBounded(workers_.size()));
-    if (victim_id == worker.id) continue;
+    if (victim_id == thief) continue;
     // Dense-hint fast path: with no short probes queued, the scan below
     // would find nothing (failed machines drain their queues, so they read
     // zero too). The RNG draw above already happened, so skipping the scan
@@ -1735,9 +1797,11 @@ bool SchedulerBase::TryStealFor(WorkerState& worker) {
       // Move the probe: one RTT to ask the victim plus one to transfer.
       QueueEntry stolen = RemoveQueueAt(victim, i);
       ++counters_.tasks_stolen;
+      WorkerState& worker = workers_[thief];
       worker.steal_inflight = true;
-      Emit(EventType::kSteal, stolen.job, worker.id, obs::kNoId, victim_id);
-      SendEntry(worker.id, stolen, 2 * one_way(), victim_id);
+      RefreshHints(worker);
+      Emit(EventType::kSteal, stolen.job, thief, obs::kNoId, victim_id);
+      SendEntry(thief, stolen, 2 * one_way(), victim_id);
       return true;
     }
   }
@@ -1814,7 +1878,12 @@ void SchedulerBase::ReleasePackedCapacity(WorkerState& worker,
 }
 
 void SchedulerBase::NoteResidual(const WorkerState& worker) {
-  mean_copies_[worker.id] = worker.residual.CopiesOf(mean_demand_);
+  const std::uint32_t copies = worker.residual.CopiesOf(mean_demand_);
+  if (live_.Test(worker.id)) {
+    live_copies_ += copies;
+    live_copies_ -= mean_copies_[worker.id];
+  }
+  mean_copies_[worker.id] = copies;
   double lo_frac = 1.0;
   double hi_frac = 0.0;
   for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
@@ -1894,18 +1963,15 @@ MachineId SchedulerBase::PickBestPacked(
 }
 
 double SchedulerBase::PackedSupplyScale() const {
-  if (!packing_on_) return 1.0;
-  double copies = 0;
-  std::size_t live = 0;
-  for (const WorkerState& w : workers_) {
-    if (w.failed || !Bindable(w.id)) continue;
-    ++live;
-    copies += static_cast<double>(mean_copies_[w.id]);
-  }
-  if (live == 0) return 1.0;
-  // Floored: a saturated fleet still advertises a sliver of supply, so the
-  // CRV ratios stay finite and comparable across heartbeats.
-  return std::max(copies / static_cast<double>(live), 0.05);
+  if (!packing_on_ || live_count_ == 0) return 1.0;
+  // The running sums are exact integers, so the quotient is the one an
+  // id-order double sum of the live machines' copies gives (each partial
+  // sum is an integer below 2^53). Floored: a saturated fleet still
+  // advertises a sliver of supply, so the CRV ratios stay finite and
+  // comparable across heartbeats.
+  return std::max(static_cast<double>(live_copies_) /
+                      static_cast<double>(live_count_),
+                  0.05);
 }
 
 // ---- Gang scheduling: atomic reserve -> commit / abort ---------------------

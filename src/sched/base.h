@@ -47,6 +47,7 @@
 
 namespace phoenix::obs {
 class InvariantAuditor;
+struct WorkerHints;
 }  // namespace phoenix::obs
 
 namespace phoenix::power {
@@ -111,6 +112,37 @@ class SchedulerBase {
     return workers_[id];
   }
   std::size_t num_machines() const { return workers_.size(); }
+
+  // ---- Dense heartbeat hints (DESIGN §4b2) --------------------------------
+  //
+  // Per-machine facts the heartbeat-cadence fleet passes read instead of the
+  // worker records. RefreshHints is their one writer and runs after every
+  // change of busy, the queue, the run list, steal_inflight, failed or the
+  // lifecycle state, so they are exact whenever control is outside
+  // SchedulerBase; the auditor re-derives them at each audited heartbeat.
+  // NoteResidual moves the live mean-copies sum with a live machine's
+  // residual.
+
+  /// Machines that are up and bindable: not failed, and active (or no view).
+  const util::Bitset& live() const { return live_; }
+  std::size_t live_count() const { return live_count_; }
+  /// Whole mean-demand copies summed over the live machines (packing only).
+  std::uint64_t live_mean_copies() const { return live_copies_; }
+  /// The machine holds work (WorkerState::HoldsWork).
+  bool Occupied(cluster::MachineId id) const { return occupied_[id] != 0; }
+  /// Hawk's heartbeat steals for this machine: nothing queued, no fetch in
+  /// flight and room for another run (a single-slot worker is full while
+  /// it runs; a packed machine's fit is checked when the stolen entry
+  /// lands), no steal in flight, and bindable. Failed machines pass too:
+  /// TryStealFor never checks `failed`, and fixing that moves schedules.
+  bool StealGate(cluster::MachineId id) const { return steal_gate_[id] != 0; }
+  /// Worker holds long work, queued or executing — Eagle's SSS bit. Served
+  /// from a dense byte array so rejection-sampling probe loops touch one
+  /// byte per candidate instead of the worker record plus the job table.
+  bool LongBusy(cluster::MachineId id) const { return long_busy_[id] != 0; }
+  /// Short probes queued fleet-wide: the sum of the per-worker counts
+  /// TryStealFor's victim scan tests.
+  std::uint64_t short_probes_queued() const { return short_probes_queued_; }
   /// The run's counters, which BuildReport copies into the report. The
   /// elasticity controller counts its own decisions into them too.
   metrics::SchedulerCounters& counters() { return counters_; }
@@ -290,18 +322,12 @@ class SchedulerBase {
   /// takes the control slot for its fetch and ends the pass.
   void TryStartNext(WorkerState& worker);
 
-  /// Nothing queued, no fetch in flight, and room for another run — a
-  /// single-slot worker is full while it runs; a packed machine's fit is
-  /// checked when the stolen entry lands. Hawk's heartbeat steals for these.
-  bool WantsWork(const WorkerState& worker) const {
-    return !worker.busy && worker.queue.empty() &&
-           (packing_on_ || worker.runs.empty());
-  }
-
-  /// Attempts one Hawk-style steal for an idle worker: contacts
-  /// steal_candidates random workers and moves over the first short probe
-  /// this worker satisfies. Returns true if a steal is in flight.
-  bool TryStealFor(WorkerState& worker);
+  /// Attempts one Hawk-style steal for an idle worker that wants work (its
+  /// queue empty, no fetch in flight, room for a run): unless its steal
+  /// gate is closed, contacts steal_candidates random workers and moves
+  /// over the first short probe `thief` satisfies. Returns true if a steal
+  /// is in flight.
+  bool TryStealFor(cluster::MachineId thief);
 
   /// Applies the job's rack placement preference to a candidate list:
   /// spread drops racks the job already uses, colocate keeps the anchor
@@ -394,11 +420,6 @@ class SchedulerBase {
   JobRuntime& runtime(trace::JobId id) { return jobs_[id]; }
   const JobRuntime& runtime(trace::JobId id) const { return jobs_[id]; }
   WorkerState& worker(cluster::MachineId id) { return workers_[id]; }
-
-  /// Worker holds long work, queued or executing — Eagle's SSS bit. Served
-  /// from a dense byte array so rejection-sampling probe loops touch one
-  /// byte per candidate instead of the worker record plus the job table.
-  bool LongBusy(cluster::MachineId id) const { return long_busy_[id] != 0; }
 
   sim::Engine& engine() { return engine_; }
   /// The control-plane message fabric (chaos injection, partition control).
@@ -502,11 +523,15 @@ class SchedulerBase {
   void EnqueueEntry(WorkerState& worker, QueueEntry entry);
   /// SendEntry exhausted its delivery attempts toward `target`.
   void GiveUpEntry(cluster::MachineId target, QueueEntry entry);
-  /// Recomputes the worker's dense LongBusy flag. Called at every site
-  /// mutating long_entries or the run list; the recompute
-  /// keeps one definition of "holds long work" instead of incremental
+  /// The dense hints as `worker`'s record and lifecycle state define them.
+  obs::WorkerHints HintsOf(const WorkerState& worker) const;
+  /// The dense hints as stored for machine `id`.
+  obs::WorkerHints StoredHints(cluster::MachineId id) const;
+  /// The one writer of the dense hints: recomputes `worker`'s from its
+  /// record, and moves the live running sums when its live bit flips. A
+  /// recompute keeps one definition of each hint instead of incremental
   /// updates that could drift from it.
-  void RefreshLongBusy(const WorkerState& worker);
+  void RefreshHints(const WorkerState& worker);
 
   void PlaceDistributed(JobRuntime& job);
   /// Counts and sends one probe of `job` to each of `targets`.
@@ -572,7 +597,8 @@ class SchedulerBase {
   void ReleasePackedCapacity(WorkerState& worker,
                              const packing::ResourceVector& demand,
                              double copies, trace::JobId job);
-  /// Recomputes the two per-machine values read off `worker.residual`.
+  /// Recomputes the two per-machine values read off `worker.residual`,
+  /// and the live mean-copies sum with them.
   void NoteResidual(const WorkerState& worker);
   /// Best packing score among live fitting candidates (lowest id ties);
   /// least-loaded among live ones when nothing fits (the task queues).
@@ -696,16 +722,23 @@ class SchedulerBase {
   /// references handed out by worker()/worker_state() stay stable.
   std::vector<WorkerState> workers_;
   /// Dense parallel array: queued short-probe count per worker, maintained
-  /// at the three queue-mutation sites. TryStealFor's random victim probes
-  /// read this 4-byte hint instead of pulling the victim's whole
-  /// WorkerState through the cache; zero means the queue scan would find
-  /// nothing stealable (a failed machine's drained queue included), so the
-  /// scan — not the RNG draw — is skipped, keeping the draw sequence and
-  /// thus every outcome bit-identical.
+  /// at the two queue-mutation sites (EnqueueEntry, RemoveQueueAt), with
+  /// its fleet-wide sum beside it. TryStealFor's random victim probes read
+  /// this 4-byte hint instead of pulling the victim's whole WorkerState
+  /// through the cache; zero means the queue scan would find nothing
+  /// stealable (a failed machine's drained queue included), so the scan —
+  /// not the RNG draw — is skipped, keeping the draw sequence and thus
+  /// every outcome bit-identical.
   std::vector<std::uint32_t> short_probe_counts_;
-  /// Dense parallel array: 1 while the worker holds long work (queued bound
-  /// long task, or a running long task) — the SSS bit Eagle's probe
-  /// rejection loop tests per candidate. See RefreshLongBusy.
+  std::uint64_t short_probes_queued_ = 0;
+  /// The dense heartbeat hints (see live() and RefreshHints): the live
+  /// set with its count and mean-copies sum, one occupancy and one steal
+  /// gate byte per machine, and the SSS long-busy byte.
+  util::Bitset live_;
+  std::size_t live_count_ = 0;
+  std::uint64_t live_copies_ = 0;
+  std::vector<std::uint8_t> occupied_;
+  std::vector<std::uint8_t> steal_gate_;
   std::vector<std::uint8_t> long_busy_;
   std::vector<JobRuntime> jobs_;
   std::size_t jobs_done_ = 0;

@@ -37,14 +37,14 @@ void HawkScheduler::OnWorkerIdle(WorkerState& worker) {
   // The stolen entry transits the fabric victim→thief (see TryStealFor), so
   // under chaos a steal can be delayed, duplicated, or lost; a lost
   // transfer times out at the Rpc layer and bounces back to redispatch.
-  TryStealFor(worker);
+  TryStealFor(worker.id);
 }
 
 void HawkScheduler::OnHeartbeat(cluster::MachineId lo,
                                 cluster::MachineId hi) {
+  // A worker whose steal gate is closed would make no draw.
   for (cluster::MachineId i = lo; i < hi; ++i) {
-    WorkerState& w = worker(i);
-    if (WantsWork(w)) TryStealFor(w);
+    if (StealGate(i)) TryStealFor(i);
   }
 }
 

@@ -260,6 +260,9 @@ struct Run {
   /// preemption policy judges this run by (fresh for a sticky fetch).
   bool bypass_exhausted = false;
   std::uint8_t preempt_count = 0;
+  /// The job's duration class, fixed at arrival: the long-busy hint reads
+  /// it here instead of in the job table.
+  bool short_class = true;
 };
 
 /// Worker queue storage, pooled in the scheduler's arena (deque chunks are

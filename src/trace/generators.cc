@@ -221,11 +221,21 @@ GeneratorOptions ClouderaProfile() {
   return o;
 }
 
+const GeneratorOptions* FindProfileByName(const std::string& name) {
+  static const GeneratorOptions kGoogle = GoogleProfile();
+  static const GeneratorOptions kYahoo = YahooProfile();
+  static const GeneratorOptions kCloudera = ClouderaProfile();
+  if (name == "google") return &kGoogle;
+  if (name == "yahoo") return &kYahoo;
+  if (name == "cloudera") return &kCloudera;
+  return nullptr;
+}
+
 GeneratorOptions ProfileByName(const std::string& name) {
-  if (name == "google") return GoogleProfile();
-  if (name == "yahoo") return YahooProfile();
-  if (name == "cloudera") return ClouderaProfile();
-  PHOENIX_CHECK_MSG(false, "unknown trace profile (google|yahoo|cloudera)");
+  const GeneratorOptions* profile = FindProfileByName(name);
+  PHOENIX_CHECK_MSG(profile != nullptr,
+                    "unknown trace profile (google|yahoo|cloudera)");
+  return *profile;
 }
 
 // The diurnal / flash-crowd parameters are the shapes the elasticity bench

@@ -128,6 +128,11 @@ Trace GenerateYahooTrace(std::size_t num_jobs, std::size_t num_workers,
 Trace GenerateClouderaTrace(std::size_t num_jobs, std::size_t num_workers,
                             double target_load, std::uint64_t seed);
 
+/// Nullable preset lookup by name ("google" | "yahoo" | "cloudera");
+/// returns nullptr on unknown names so CLI frontends can print a usage error
+/// instead of aborting. The returned options have static storage duration.
+const GeneratorOptions* FindProfileByName(const std::string& name);
+
 /// Preset lookup by name ("google" | "yahoo" | "cloudera"); aborts on
 /// unknown names.
 GeneratorOptions ProfileByName(const std::string& name);

@@ -103,16 +103,33 @@ class Bitset {
     return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
   }
 
-  /// Appends the indices of all set bits to `out`.
-  void CollectSetBits(std::vector<std::uint32_t>& out) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t word = words_[w];
+  /// Calls f(i) for every set bit i in [lo, hi), in ascending order. Each
+  /// word is read once, before its bits are visited, so `f` must not change
+  /// this set. Cheaper than a NextSetBit chain, whose every step waits on
+  /// the previous index.
+  template <typename F>
+  void ForEachSetBit(std::size_t lo, std::size_t hi, F&& f) const {
+    PHOENIX_DCHECK(hi <= size_);
+    if (lo >= hi) return;
+    const std::size_t last = (hi - 1) >> 6;
+    std::size_t w = lo >> 6;
+    std::uint64_t word = words_[w] & (~0ULL << (lo & 63));
+    for (;;) {
+      if (w == last && (hi & 63) != 0) word &= (1ULL << (hi & 63)) - 1;
       while (word != 0) {
-        const int b = std::countr_zero(word);
-        out.push_back(static_cast<std::uint32_t>((w << 6) + static_cast<std::size_t>(b)));
+        f((w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
         word &= word - 1;
       }
+      if (++w > last) return;
+      word = words_[w];
     }
+  }
+
+  /// Appends the indices of all set bits to `out`.
+  void CollectSetBits(std::vector<std::uint32_t>& out) const {
+    ForEachSetBit(0, size_, [&out](std::size_t i) {
+      out.push_back(static_cast<std::uint32_t>(i));
+    });
   }
 
   /// Returns a uniformly random set bit, or SIZE_MAX if the bitset is empty.

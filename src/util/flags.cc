@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "util/format.h"
+
 namespace phoenix::util {
 
 namespace {
@@ -200,16 +202,22 @@ bool Flags::Validate() {
   return true;
 }
 
-void RequireCountsOrExit(std::initializer_list<CountFlag> counts) {
-  bool ok = true;
+void UsageErrors::Require(bool ok, const std::string& message) {
+  if (!ok) problems_.push_back(message);
+}
+
+void UsageErrors::RequireCounts(std::initializer_list<CountFlag> counts) {
   for (const CountFlag& c : counts) {
-    if (c.value >= c.min) continue;
-    std::fprintf(stderr, "--%s must be >= %lld (got %lld)\n", c.name,
-                 static_cast<long long>(c.min),
-                 static_cast<long long>(c.value));
-    ok = false;
+    Require(c.value >= c.min,
+            StrFormat("--%s must be >= %lld (got %lld)", c.name,
+                      static_cast<long long>(c.min),
+                      static_cast<long long>(c.value)));
   }
-  if (!ok) std::exit(1);
+}
+
+void UsageErrors::ExitIfAny() const {
+  for (const std::string& p : problems_) std::fprintf(stderr, "%s\n", p.c_str());
+  if (!problems_.empty()) std::exit(1);
 }
 
 }  // namespace phoenix::util

@@ -93,9 +93,22 @@ struct CountFlag {
   std::int64_t min = 1;
 };
 
-/// Bad sizes are usage errors, not aborts deep in a constructor: prints
-/// "--<name> must be >= <min> (got <value>)" to stderr for every count below
-/// its minimum, and exits 1 if there was any. Call after ValidateOrExit.
-void RequireCountsOrExit(std::initializer_list<CountFlag> counts);
+/// Bad input is a usage error, not an abort deep in a constructor: collects
+/// every problem of a command line, then exits 1 naming each bad flag once.
+/// Call after Flags::ValidateOrExit.
+class UsageErrors {
+ public:
+  /// Records `message` unless `ok`.
+  void Require(bool ok, const std::string& message);
+  /// Records "--<name> must be >= <min> (got <value>)" for every count
+  /// below its minimum.
+  void RequireCounts(std::initializer_list<CountFlag> counts);
+  /// Prints every recorded problem to stderr, one per line, and exits 1 if
+  /// there was any.
+  void ExitIfAny() const;
+
+ private:
+  std::vector<std::string> problems_;
+};
 
 }  // namespace phoenix::util

@@ -261,6 +261,26 @@ TEST(Obs, AuditorCatchesRunLeftAtEnd) {
   EXPECT_NE(a.Summary().find("after the run drained"), std::string::npos);
 }
 
+TEST(Obs, AuditorCatchesHintDisagreeingWithItsWorker) {
+  obs::InvariantAuditor a;
+  obs::WorkerHints actual;
+  actual.live = true;
+  actual.steal_gate = true;
+  a.CheckHints(10.0, 3, actual, actual);
+  EXPECT_TRUE(a.ok()) << a.Summary();
+  // A missed refresh after the worker took a fetch: the hints still read
+  // idle and open to steals.
+  obs::WorkerHints busy = actual;
+  busy.occupied = true;
+  busy.steal_gate = false;
+  a.CheckHints(11.0, 3, actual, busy);
+  ASSERT_EQ(a.violations().size(), 2u);
+  EXPECT_NE(a.violations()[0].find("machine 3 occupied hint reads 0"),
+            std::string::npos);
+  EXPECT_NE(a.violations()[1].find("machine 3 steal gate hint reads 1"),
+            std::string::npos);
+}
+
 TEST(Obs, AuditorNamesTheLowestLeakedMessage) {
   obs::InvariantAuditor a;
   // Two sends never terminate. The ledger's own order would list 907 first

@@ -1,16 +1,19 @@
 // Energy/power subsystem tests: the machine power model invariants, the
 // EnergyMeter dwell integral, the controller's median wait against a
-// full-list selection, park/wake lifecycle transitions under
-// scheduler control (veto while holding work, double-park idempotency,
-// wake during drain), the auditor's power rules (transition legality,
-// energy conservation), and end-to-end powered runs (audit-clean, energy
-// actually saved, dispatch-time demand wakes, bit-identical across thread
-// budgets, meter-only runs identical to unpowered ones). Registered under
-// the "power" ctest label (scripts/check.sh runs `ctest -L power`).
+// full-list selection and its utilization EWMA step against the plain
+// update, park/wake lifecycle transitions under scheduler control (veto
+// while holding work, double-park idempotency, wake during drain), the
+// auditor's power rules (transition legality, energy conservation), and
+// end-to-end powered runs (audit-clean, energy actually saved,
+// dispatch-time demand wakes, bit-identical across thread budgets,
+// meter-only runs identical to unpowered ones). Registered under the
+// "power" ctest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "cluster/builder.h"
@@ -141,6 +144,41 @@ TEST(PowerSignals, MedianWaitMatchesFullListSelection) {
   }
   std::vector<double> none;
   EXPECT_EQ(power::MedianWait(0, none), 0.0);
+}
+
+TEST(PowerSignals, UtilEwmaStepIsBitwiseThePlainUpdate) {
+  // The plain update the controller's sample used to run on every tick.
+  const auto plain = [](double e, bool occupied) {
+    return e + 0.2 * ((occupied ? 1.0 : 0.0) - e);
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  // Idle ticks from 1.0, from 0.2 and from one tick above the subnormal
+  // range, until the plain update stops moving the value: the production
+  // step must agree bit for bit at every tick, and the value must come to
+  // rest on the 2 x denorm_min fixed point the step skips.
+  for (const double start :
+       {1.0, 0.2, std::numeric_limits<double>::min() / 0.8}) {
+    double e = start;
+    std::size_t ticks = 0;
+    for (;;) {
+      const double next = plain(e, false);
+      ASSERT_EQ(bits(power::StepUtilEwma(e, false)), bits(next))
+          << "from " << start << " at tick " << ticks;
+      if (bits(next) == bits(e)) break;
+      e = next;
+      ++ticks;
+      ASSERT_LT(ticks, 10000u) << "from " << start;
+    }
+    EXPECT_EQ(bits(e), bits(2 * tiny)) << "from " << start;
+  }
+  // An occupied tick from the bottom of the range leaves it at once.
+  for (const double e : {0.0, tiny, 2 * tiny}) {
+    EXPECT_EQ(bits(power::StepUtilEwma(e, true)), bits(plain(e, true)))
+        << "from " << e;
+    EXPECT_EQ(bits(power::StepUtilEwma(e, false)), bits(plain(e, false)))
+        << "from " << e;
+  }
 }
 
 // ---- Park/wake transitions under scheduler control ------------------------

@@ -586,6 +586,24 @@ TEST(Bitset, NextSetBitWalksTheSetBitsInOrder) {
   EXPECT_EQ(Bitset(70).NextSetBit(0), 70u);
 }
 
+TEST(Bitset, ForEachSetBitVisitsEveryRangeInOrder) {
+  // Ranges starting and ending inside, at and across word boundaries, on a
+  // size that leaves the last word partial.
+  Bitset b(200);
+  for (const std::size_t i : {0, 5, 63, 64, 127, 128, 130, 199}) b.Set(i);
+  for (const std::size_t lo : {0, 1, 63, 64, 65, 128, 199, 200}) {
+    for (const std::size_t hi : {0, 5, 6, 64, 65, 128, 129, 131, 199, 200}) {
+      std::vector<std::size_t> visited;
+      b.ForEachSetBit(lo, hi, [&](std::size_t i) { visited.push_back(i); });
+      std::vector<std::size_t> expected;
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (b.Test(i)) expected.push_back(i);
+      }
+      EXPECT_EQ(visited, expected) << "[" << lo << ", " << hi << ")";
+    }
+  }
+}
+
 TEST(Bitset, SampleSetBitReturnsOnlySetBits) {
   Bitset b(1000);
   b.Set(17);
