@@ -17,7 +17,8 @@ std::uint32_t EncodePredicate(const Constraint& c) {
 }
 
 Cluster::Cluster(std::vector<Machine> machines)
-    : machines_(std::move(machines)), all_(machines_.size()),
+    : machines_(std::move(machines)),
+      all_(util::Bitset(machines_.size(), /*value=*/true)),
       caches_(std::make_unique<EligibilityCaches>()) {
   PHOENIX_CHECK_MSG(!machines_.empty(), "cluster must have at least one machine");
   std::set<RackId> racks;
@@ -27,7 +28,6 @@ Cluster::Cluster(std::vector<Machine> machines)
     racks.insert(machines_[i].rack);
   }
   num_racks_ = racks.size();
-  all_.SetAll();
   all_ids_.resize(machines_.size());
   for (std::size_t i = 0; i < all_ids_.size(); ++i) {
     all_ids_[i] = static_cast<std::uint32_t>(i);
@@ -35,11 +35,12 @@ Cluster::Cluster(std::vector<Machine> machines)
 }
 
 // Both caches follow the same discipline: shared-lock lookup, then (miss)
-// compute outside any lock and insert under an exclusive lock, keeping the
-// existing entry if another thread raced us there. std::map guarantees node
-// stability, so the returned reference outlives the lock; entries are never
-// erased for the life of the cluster.
-const util::Bitset& Cluster::Satisfying(const Constraint& c) const {
+// compute the pool and its directory outside any lock and insert under an
+// exclusive lock, keeping the existing entry if another thread raced us
+// there. std::map guarantees node stability, so the returned reference
+// outlives the lock; entries are never erased or changed for the life of
+// the cluster.
+const util::IndexedBitset& Cluster::Satisfying(const Constraint& c) const {
   const std::uint32_t key = EncodePredicate(c);
   {
     std::shared_lock lock(caches_->mu);
@@ -50,8 +51,9 @@ const util::Bitset& Cluster::Satisfying(const Constraint& c) const {
   for (const auto& m : machines_) {
     if (m.Satisfies(c)) bits.Set(m.id);
   }
+  util::IndexedBitset pool(std::move(bits));
   std::unique_lock lock(caches_->mu);
-  return caches_->predicates.emplace(key, std::move(bits)).first->second;
+  return caches_->predicates.emplace(key, std::move(pool)).first->second;
 }
 
 Cluster::SetKey Cluster::KeyFor(const ConstraintSet& cs) {
@@ -62,7 +64,7 @@ Cluster::SetKey Cluster::KeyFor(const ConstraintSet& cs) {
   return key;
 }
 
-const util::Bitset& Cluster::Satisfying(const ConstraintSet& cs) const {
+const util::IndexedBitset& Cluster::Satisfying(const ConstraintSet& cs) const {
   if (cs.empty()) return all_;
   const SetKey key = KeyFor(cs);
   {
@@ -72,15 +74,18 @@ const util::Bitset& Cluster::Satisfying(const ConstraintSet& cs) const {
   }
   // Compute with no lock held: the per-predicate lookups below take the
   // same mutex themselves.
-  util::Bitset pool = Satisfying(cs[0]);
-  for (std::size_t i = 1; i < cs.size(); ++i) pool.AndWith(Satisfying(cs[i]));
+  util::Bitset bits = Satisfying(cs[0]).bits();
+  for (std::size_t i = 1; i < cs.size(); ++i) {
+    bits.AndWith(Satisfying(cs[i]).bits());
+  }
+  util::IndexedBitset pool(std::move(bits));
   std::unique_lock lock(caches_->mu);
   return caches_->pools.emplace(key, std::move(pool)).first->second;
 }
 
 MachineId Cluster::SampleSatisfying(const ConstraintSet& cs,
                                     util::Rng& rng) const {
-  const std::size_t bit = Satisfying(cs).SampleSetBit(rng);
+  const std::size_t bit = Satisfying(cs).Sample(rng);
   return bit == SIZE_MAX ? kInvalidMachine : static_cast<MachineId>(bit);
 }
 
@@ -88,11 +93,11 @@ std::vector<MachineId> Cluster::SampleSatisfying(const ConstraintSet& cs,
                                                  std::size_t k,
                                                  util::Rng& rng) const {
   std::vector<MachineId> out;
-  const util::Bitset& pool = Satisfying(cs);
+  const util::IndexedBitset& pool = Satisfying(cs);
   if (!pool.Any()) return out;
   out.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    out.push_back(static_cast<MachineId>(pool.SampleSetBit(rng)));
+    out.push_back(static_cast<MachineId>(pool.Sample(rng)));
   }
   return out;
 }

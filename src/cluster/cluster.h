@@ -5,7 +5,9 @@
 // constraint set" millions of times per run, so the cluster precomputes one
 // bitset per (attribute, operator, value) predicate over the small value
 // domains; a constraint set's candidate pool is the AND of its predicates'
-// bitsets. Pools are memoized per distinct constraint set.
+// bitsets. Pools are memoized per distinct constraint set, each as an
+// immutable util::IndexedBitset that carries its count and rank directory,
+// so counting and sampling a pool never walk the whole fleet.
 //
 // The memoization is safe under concurrent const access: the parallel
 // experiment runner shares one Cluster across simultaneous seeded runs, so
@@ -23,7 +25,7 @@
 
 #include "cluster/constraint.h"
 #include "cluster/machine.h"
-#include "util/bitset.h"
+#include "util/indexed_bitset.h"
 #include "util/rng.h"
 
 namespace phoenix::cluster {
@@ -47,16 +49,16 @@ class Cluster {
   std::size_t num_racks() const { return num_racks_; }
   RackId rack_of(MachineId id) const { return machines_[id].rack; }
 
-  /// Bitset of machines satisfying one predicate. O(1) after construction.
-  /// Predicates with values outside the attribute's domain return a
-  /// domain-clamped answer (e.g. "> max_value" yields the empty set).
-  const util::Bitset& Satisfying(const Constraint& c) const;
+  /// Pool of machines satisfying one predicate (memoized). Predicates with
+  /// values outside the attribute's domain return a domain-clamped answer
+  /// (e.g. "> max_value" yields the empty set).
+  const util::IndexedBitset& Satisfying(const Constraint& c) const;
 
-  /// Bitset of machines satisfying every constraint in the set (memoized).
-  /// The unconstrained set returns the all-ones bitset.
-  const util::Bitset& Satisfying(const ConstraintSet& cs) const;
+  /// Pool of machines satisfying every constraint in the set (memoized).
+  /// The unconstrained set returns the all-machines pool.
+  const util::IndexedBitset& Satisfying(const ConstraintSet& cs) const;
 
-  /// Number of machines satisfying the set.
+  /// Number of machines satisfying the set. O(1) once the pool is cached.
   std::size_t CountSatisfying(const ConstraintSet& cs) const {
     return Satisfying(cs).Count();
   }
@@ -107,14 +109,14 @@ class Cluster {
   // unique_ptr so Cluster stays movable (shared_mutex is not).
   struct EligibilityCaches {
     std::shared_mutex mu;
-    std::map<std::uint32_t, util::Bitset> predicates;
-    std::map<SetKey, util::Bitset> pools;
+    std::map<std::uint32_t, util::IndexedBitset> predicates;
+    std::map<SetKey, util::IndexedBitset> pools;
     /// Collected set-bit vectors of `pools` entries (see SatisfyingIds).
     std::map<SetKey, std::vector<std::uint32_t>> pool_ids;
   };
 
   std::vector<Machine> machines_;
-  util::Bitset all_;
+  util::IndexedBitset all_;
   std::vector<std::uint32_t> all_ids_;  // 0..n-1, the unconstrained pool
   std::size_t num_racks_ = 1;
   std::unique_ptr<EligibilityCaches> caches_;

@@ -99,7 +99,7 @@ std::size_t MembershipView::CountParkedSatisfying(const Constraint& c) const {
     const auto it = cache_->parked_predicate_counts.find(key);
     if (it != cache_->parked_predicate_counts.end()) return it->second;
   }
-  util::Bitset pool = cluster_.Satisfying(c);
+  util::Bitset pool = cluster_.Satisfying(c).bits();
   pool.AndWith(parked_);
   const std::size_t count = pool.Count();
   std::unique_lock lock(cache_->mu);
@@ -107,7 +107,7 @@ std::size_t MembershipView::CountParkedSatisfying(const Constraint& c) const {
   return count;
 }
 
-const util::Bitset& MembershipView::EligiblePool(
+const util::IndexedBitset& MembershipView::EligiblePool(
     const ConstraintSet& cs) const {
   const Cluster::SetKey key = Cluster::KeyFor(cs);
   {
@@ -115,8 +115,10 @@ const util::Bitset& MembershipView::EligiblePool(
     const auto it = cache_->pools.find(key);
     if (it != cache_->pools.end()) return it->second;
   }
-  util::Bitset pool = cluster_.Satisfying(cs);  // copy; all-ones when empty
-  pool.AndWith(bindable_);
+  // A copy; all-ones when `cs` is empty.
+  util::Bitset bits = cluster_.Satisfying(cs).bits();
+  bits.AndWith(bindable_);
+  util::IndexedBitset pool(std::move(bits));
   std::unique_lock lock(cache_->mu);
   return cache_->pools.emplace(key, std::move(pool)).first->second;
 }
@@ -128,7 +130,7 @@ std::size_t MembershipView::CountEligible(const Constraint& c) const {
     const auto it = cache_->predicate_counts.find(key);
     if (it != cache_->predicate_counts.end()) return it->second;
   }
-  util::Bitset pool = cluster_.Satisfying(c);
+  util::Bitset pool = cluster_.Satisfying(c).bits();
   pool.AndWith(bindable_);
   const std::size_t count = pool.Count();
   std::unique_lock lock(cache_->mu);
@@ -147,7 +149,7 @@ std::size_t MembershipView::CountAdmissible(const Constraint& c) const {
 
 MachineId MembershipView::SampleEligible(const ConstraintSet& cs,
                                          util::Rng& rng) const {
-  const std::size_t bit = EligiblePool(cs).SampleSetBit(rng);
+  const std::size_t bit = EligiblePool(cs).Sample(rng);
   return bit == SIZE_MAX ? kInvalidMachine : static_cast<MachineId>(bit);
 }
 
@@ -155,11 +157,11 @@ std::vector<MachineId> MembershipView::SampleEligible(const ConstraintSet& cs,
                                                       std::size_t k,
                                                       util::Rng& rng) const {
   std::vector<MachineId> out;
-  const util::Bitset& pool = EligiblePool(cs);
+  const util::IndexedBitset& pool = EligiblePool(cs);
   if (!pool.Any()) return out;
   out.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    out.push_back(static_cast<MachineId>(pool.SampleSetBit(rng)));
+    out.push_back(static_cast<MachineId>(pool.Sample(rng)));
   }
   return out;
 }

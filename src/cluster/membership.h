@@ -18,10 +18,11 @@
 // a draining machine finishes the bound work it already holds and nothing
 // else. The view layers a second eligibility cache over the cluster's
 // per-predicate bitsets: an eligible pool is (satisfying pool AND bindable
-// bitset), memoized per constraint set and invalidated wholesale whenever
-// membership changes (the epoch counter). Lookups follow the same
-// shared_mutex discipline as Cluster's caches, so the parallel experiment
-// runner can share a view-less cluster while elastic runs each own a view.
+// bitset), memoized per constraint set as an immutable IndexedBitset and
+// invalidated wholesale whenever membership changes (the epoch counter).
+// Lookups follow the same shared_mutex discipline as Cluster's caches, so
+// the parallel experiment runner can share a view-less cluster while
+// elastic runs each own a view.
 //
 // Determinism contract: the sampling helpers mirror Cluster's algorithms
 // bit for bit — a view with every machine active consumes the identical RNG
@@ -88,7 +89,7 @@ class MembershipView {
 
   /// Bindable machines satisfying `cs`: the cluster pool AND the bindable
   /// bitset, memoized until the next membership change.
-  const util::Bitset& EligiblePool(const ConstraintSet& cs) const;
+  const util::IndexedBitset& EligiblePool(const ConstraintSet& cs) const;
   std::size_t CountEligible(const ConstraintSet& cs) const {
     return EligiblePool(cs).Count();
   }
@@ -139,7 +140,7 @@ class MembershipView {
   // no reference outlives its epoch).
   struct PoolCache {
     std::shared_mutex mu;
-    std::map<Cluster::SetKey, util::Bitset> pools;
+    std::map<Cluster::SetKey, util::IndexedBitset> pools;
     std::map<Cluster::SetKey, std::vector<std::uint32_t>> pool_ids;
     std::map<std::uint32_t, std::size_t> predicate_counts;
     std::map<std::uint32_t, std::size_t> parked_predicate_counts;

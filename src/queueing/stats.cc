@@ -35,32 +35,37 @@ WindowedStats::WindowedStats(std::size_t window) : window_(window) {
 }
 
 void WindowedStats::Add(double x) {
-  samples_.push_back(x);
+  if (ring_.empty()) ring_.resize(window_);
+  const double old = ring_[next_];
+  ring_[next_] = x;
+  if (++next_ == window_) next_ = 0;
+  // The new sample joins both sums before the evicted one leaves them.
   sum_ += x;
   sum_sq_ += x * x;
-  if (samples_.size() > window_) {
-    const double old = samples_.front();
-    samples_.pop_front();
+  if (count_ == window_) {
     sum_ -= old;
     sum_sq_ -= old * old;
+  } else {
+    ++count_;
   }
 }
 
 void WindowedStats::Clear() {
-  samples_.clear();
+  next_ = 0;
+  count_ = 0;
   sum_ = 0.0;
   sum_sq_ = 0.0;
 }
 
 double WindowedStats::mean() const {
-  if (samples_.empty()) return 0.0;
-  return sum_ / static_cast<double>(samples_.size());
+  if (count_ == 0) return 0.0;
+  return sum_ / static_cast<double>(count_);
 }
 
 double WindowedStats::second_moment() const {
-  if (samples_.empty()) return 0.0;
+  if (count_ == 0) return 0.0;
   // Guard against tiny negative values from float cancellation.
-  return std::max(0.0, sum_sq_ / static_cast<double>(samples_.size()));
+  return std::max(0.0, sum_sq_ / static_cast<double>(count_));
 }
 
 Ewma::Ewma(double alpha) : alpha_(alpha) {

@@ -2,8 +2,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
+#include <vector>
 
 namespace phoenix::queueing {
 
@@ -37,7 +37,8 @@ class RunningStats {
 /// Mean / second moment over the most recent `window` samples. Algorithm 1
 /// of the paper estimates λ and μ from "Avg(last serviced tasks)", i.e. a
 /// moving window rather than the full history, so estimates track load
-/// changes.
+/// changes. The window is a ring of `window` doubles, allocated by the
+/// first Add: every worker carries two of these from fleet build on.
 class WindowedStats {
  public:
   explicit WindowedStats(std::size_t window = 64);
@@ -45,15 +46,17 @@ class WindowedStats {
   void Add(double x);
   void Clear();
 
-  std::size_t count() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
+  std::size_t count() const { return count_; }
+  bool empty() const { return count_ == 0; }
   double mean() const;
   double second_moment() const;
   double sum() const { return sum_; }
 
  private:
   std::size_t window_;
-  std::deque<double> samples_;
+  std::vector<double> ring_;  // empty until the first Add
+  std::size_t next_ = 0;      // slot of the next sample: the oldest when full
+  std::size_t count_ = 0;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
 };

@@ -294,7 +294,7 @@ MachineId SchedulerBase::WakeSatisfierFallback(
   if (power_ == nullptr || membership_ == nullptr) {
     return cluster::kInvalidMachine;
   }
-  const util::Bitset& sat = cluster_.Satisfying(cs);
+  const util::IndexedBitset& sat = cluster_.Satisfying(cs);
   MachineId parked_pick = cluster::kInvalidMachine;
   for (std::size_t id = 0; id < workers_.size(); ++id) {
     if (!sat.Test(id) || workers_[id].failed) continue;
@@ -567,6 +567,7 @@ void SchedulerBase::EvictWork(WorkerState& worker, bool kill_runs) {
     MeterExecEnd(worker);
     for (const Run& run : runs) {
       // The task is lost: un-count its unfinished service and replay it.
+      engine_.Cancel(run.pending_event);
       StopRun(worker, run);
       JobRuntime& job = jobs_[run.job];
       job.replay_tasks.push_back(run.task_index);
@@ -1007,6 +1008,7 @@ void SchedulerBase::MaybePreemptFor(WorkerState& worker,
 void SchedulerBase::PreemptRun(WorkerState& worker, std::size_t index) {
   const Run run = worker.runs[index];
   worker.runs.erase(worker.runs.begin() + static_cast<std::ptrdiff_t>(index));
+  engine_.Cancel(run.pending_event);
   StopRun(worker, run);
   MeterExecEnd(worker);
   JobRuntime& victim = jobs_[run.job];
@@ -1742,7 +1744,6 @@ void SchedulerBase::FinishRun(MachineId wid, std::uint32_t run_id,
 }
 
 void SchedulerBase::StopRun(WorkerState& worker, const Run& run) {
-  engine_.Cancel(run.pending_event);  // a no-op once the completion fired
   const JobRuntime& job = jobs_[run.job];
   const double remaining = std::max(0.0, run.until - engine_.Now());
   total_busy_time_ -= remaining;
@@ -1825,7 +1826,7 @@ void SchedulerBase::ClampDemandToHostable(JobRuntime& job) {
   // and inactive ones included. Walked off the cached bitset: an id list
   // per constraint set would be memory no other path of a view-attached
   // run keeps.
-  const util::Bitset& pool = cluster_.Satisfying(job.effective);
+  const util::IndexedBitset& pool = cluster_.Satisfying(job.effective);
   const packing::ResourceVector* best = nullptr;
   double best_volume = -1.0;
   for (std::size_t id = pool.NextSetBit(0); id < pool.size();

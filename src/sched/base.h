@@ -364,7 +364,8 @@ class SchedulerBase {
     return membership_ == nullptr || membership_->Bindable(id);
   }
   /// Machines currently eligible for new bindings under `cs`.
-  const util::Bitset& EligiblePool(const cluster::ConstraintSet& cs) const {
+  const util::IndexedBitset& EligiblePool(
+      const cluster::ConstraintSet& cs) const {
     return membership_ == nullptr ? cluster_.Satisfying(cs)
                                   : membership_->EligiblePool(cs);
   }
@@ -563,9 +564,11 @@ class SchedulerBase {
   /// Completion event of run `run_id` on `wid`.
   void FinishRun(cluster::MachineId wid, std::uint32_t run_id,
                  double duration);
-  /// Takes `run`, already off the run list, off the machine's ledgers: its
-  /// completion event, the unserved remainder of its busy time and packed
-  /// core-seconds, and its packed capacity.
+  /// Takes `run`, already off the run list, off the machine's ledgers: the
+  /// unserved remainder of its busy time and packed core-seconds, and its
+  /// packed capacity. A caller stopping the run early cancels its
+  /// completion event first; at completion the event has fired and the
+  /// remainder is 0.
   void StopRun(WorkerState& worker, const Run& run);
   /// Closes the machine's exec metering once its last run is gone.
   void MeterExecEnd(const WorkerState& worker);

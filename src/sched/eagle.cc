@@ -5,7 +5,7 @@ namespace phoenix::sched {
 std::vector<cluster::MachineId> EagleScheduler::ChooseProbeTargets(
     const JobRuntime& job) {
   const std::size_t wanted = config().probe_ratio * job.num_tasks();
-  const util::Bitset& pool = EligiblePool(job.effective);
+  const util::IndexedBitset& pool = EligiblePool(job.effective);
   std::vector<cluster::MachineId> targets;
   targets.reserve(wanted);
   // Rejection-sample against the SSS bit vector: skip long-occupied workers
@@ -18,13 +18,13 @@ std::vector<cluster::MachineId> EagleScheduler::ChooseProbeTargets(
   std::size_t draws = 0;
   while (targets.size() < wanted && draws < budget) {
     ++draws;
-    const std::size_t bit = pool.SampleSetBit(rng());
+    const std::size_t bit = pool.Sample(rng());
     if (bit == SIZE_MAX) break;
     const auto id = static_cast<cluster::MachineId>(bit);
     if (!LongBusy(id)) targets.push_back(id);
   }
   while (targets.size() < wanted) {
-    const std::size_t bit = pool.SampleSetBit(rng());
+    const std::size_t bit = pool.Sample(rng());
     if (bit == SIZE_MAX) break;
     targets.push_back(static_cast<cluster::MachineId>(bit));
   }

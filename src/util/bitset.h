@@ -3,15 +3,17 @@
 // The cluster keeps, per (attribute, operator, value) predicate, a bitset of
 // the machines satisfying it; candidate worker sets are intersections of
 // those. Capacity is the cluster size (thousands to tens of thousands of
-// bits), set at construction.
+// bits), set at construction. A Bitset keeps no derived state, so its
+// mutable users (live sets, membership sets) pay nothing beyond the words;
+// cached pools wrap theirs in an IndexedBitset (util/indexed_bitset.h).
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/check.h"
-#include "util/rng.h"
 
 namespace phoenix::util {
 
@@ -70,21 +72,6 @@ class Bitset {
     return n;
   }
 
-  /// Number of set bits among the first `n` (n <= size()).
-  std::size_t CountPrefix(std::size_t n) const {
-    PHOENIX_DCHECK(n <= size_);
-    std::size_t count = 0;
-    const std::size_t full = n >> 6;
-    for (std::size_t w = 0; w < full; ++w) {
-      count += static_cast<std::size_t>(std::popcount(words_[w]));
-    }
-    if ((n & 63) != 0) {
-      const std::uint64_t mask = (1ULL << (n & 63)) - 1;
-      count += static_cast<std::size_t>(std::popcount(words_[full] & mask));
-    }
-    return count;
-  }
-
   bool Any() const {
     for (const auto w : words_)
       if (w != 0) return true;
@@ -132,32 +119,8 @@ class Bitset {
     });
   }
 
-  /// Returns a uniformly random set bit, or SIZE_MAX if the bitset is empty.
-  ///
-  /// Strategy: rejection-sample random positions while the hit rate is good;
-  /// after too many misses (sparse set), fall back to an exact rank-select
-  /// scan. Expected O(1) for dense sets, O(words) worst case.
-  std::size_t SampleSetBit(Rng& rng) const {
-    if (size_ == 0) return SIZE_MAX;
-    for (int attempt = 0; attempt < 24; ++attempt) {
-      const std::size_t i = rng.NextBounded(size_);
-      if (Test(i)) return i;
-    }
-    const std::size_t count = Count();
-    if (count == 0) return SIZE_MAX;
-    std::size_t rank = rng.NextBounded(count);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      const auto pop = static_cast<std::size_t>(std::popcount(words_[w]));
-      if (rank < pop) {
-        std::uint64_t word = words_[w];
-        for (std::size_t k = 0; k < rank; ++k) word &= word - 1;
-        return (w << 6) +
-               static_cast<std::size_t>(std::countr_zero(word));
-      }
-      rank -= pop;
-    }
-    PHOENIX_CHECK_MSG(false, "rank-select fell off the end");
-  }
+  /// The backing words, lowest bits first; bits past size() are zero.
+  std::span<const std::uint64_t> words() const { return words_; }
 
  private:
   // Keeps bits beyond size_ zero so Count()/Any() stay exact.

@@ -174,7 +174,7 @@ TEST_F(ClusterIndexTest, PredicateIndexMatchesBruteForce) {
         Constraint{Attr::kNumCores, ConstraintOp::kGreater, 8, true},
         Constraint{Attr::kCpuClock, ConstraintOp::kLess, 28, true},
         Constraint{Attr::kMinMemory, ConstraintOp::kGreater, 64, true}}) {
-    const util::Bitset& bits = cluster_.Satisfying(c);
+    const util::IndexedBitset& bits = cluster_.Satisfying(c);
     std::size_t brute = 0;
     for (const Machine& m : cluster_.machines()) {
       const bool sat = m.Satisfies(c);
@@ -188,7 +188,7 @@ TEST_F(ClusterIndexTest, PredicateIndexMatchesBruteForce) {
 TEST_F(ClusterIndexTest, SetIndexIsIntersection) {
   ConstraintSet cs({{Attr::kArch, ConstraintOp::kEqual, 0, true},
                     {Attr::kNumCores, ConstraintOp::kGreater, 4, true}});
-  const util::Bitset& bits = cluster_.Satisfying(cs);
+  const util::IndexedBitset& bits = cluster_.Satisfying(cs);
   for (const Machine& m : cluster_.machines()) {
     EXPECT_EQ(bits.Test(m.id), m.Satisfies(cs));
   }
@@ -200,8 +200,8 @@ TEST_F(ClusterIndexTest, EmptyConstraintSetMatchesEverything) {
 
 TEST_F(ClusterIndexTest, MemoizationReturnsSameObject) {
   ConstraintSet cs({{Attr::kArch, ConstraintOp::kEqual, 0, true}});
-  const util::Bitset* first = &cluster_.Satisfying(cs);
-  const util::Bitset* second = &cluster_.Satisfying(cs);
+  const util::IndexedBitset* first = &cluster_.Satisfying(cs);
+  const util::IndexedBitset* second = &cluster_.Satisfying(cs);
   EXPECT_EQ(first, second);
 }
 

@@ -18,6 +18,8 @@
 #include "trace/generators.h"
 #include "util/rng.h"
 
+#include "reference_sampler.h"
+
 namespace phoenix {
 namespace {
 
@@ -203,6 +205,52 @@ TEST(MembershipView, AllActiveSamplingMatchesClusterBitForBit) {
     EXPECT_EQ(cl.SampleDistinctSatisfying(cs, 7, a),
               view.SampleDistinctEligible(cs, 7, b));
     // The streams stayed in lockstep: the next raw draw agrees.
+    EXPECT_EQ(a.Next(), b.Next());
+  }
+}
+
+// A view with parked, provisioning and draining machines samples its own
+// pools, which differ from the cluster's: each draw must match the
+// reference sampler's over the cluster pool ANDed with the bindable set.
+TEST(MembershipView, PartialFleetSamplingMatchesReferenceOverAndedPool) {
+  const auto cl = MakeUniverse(1500, 17);
+  cluster::MembershipView view(cl, 1000);  // 1000..1499 start parked
+  for (cluster::MachineId id = 1000; id < 1200; ++id) {
+    view.SetState(id, MachineLifecycle::kProvisioning);
+    if (id < 1150) view.SetState(id, MachineLifecycle::kActive);
+  }
+  for (cluster::MachineId id = 1100; id < 1120; ++id) {
+    view.SetState(id, MachineLifecycle::kDraining);
+  }
+  std::vector<cluster::ConstraintSet> sets(3);
+  sets[1].Add(
+      {cluster::Attr::kNumCores, cluster::ConstraintOp::kGreater, 1, true});
+  // A sparse pool, so draws reach the rank-select fallback.
+  sets[2].Add(
+      {cluster::Attr::kNumCores, cluster::ConstraintOp::kGreater, 16, true});
+  sets[2].Add(
+      {cluster::Attr::kMinMemory, cluster::ConstraintOp::kGreater, 64, true});
+  for (const auto& cs : sets) {
+    util::Bitset anded = cl.Satisfying(cs).bits();
+    for (cluster::MachineId id = 0; id < view.size(); ++id) {
+      if (!view.Bindable(id)) anded.Reset(id);
+    }
+    ASSERT_LT(anded.Count(), cl.Satisfying(cs).Count());
+    ASSERT_EQ(view.CountEligible(cs), anded.Count());
+    util::Rng a(99), b(99);
+    for (int i = 0; i < 400; ++i) {
+      const std::size_t want = testing_reference::SampleSetBit(anded, b);
+      ASSERT_EQ(view.SampleEligible(cs, a),
+                want == SIZE_MAX ? cluster::kInvalidMachine
+                                 : static_cast<cluster::MachineId>(want))
+          << "draw " << i;
+    }
+    std::vector<cluster::MachineId> want;
+    for (int i = 0; i < 5; ++i) {
+      want.push_back(static_cast<cluster::MachineId>(
+          testing_reference::SampleSetBit(anded, b)));
+    }
+    EXPECT_EQ(view.SampleEligible(cs, 5, a), want);
     EXPECT_EQ(a.Next(), b.Next());
   }
 }

@@ -1,6 +1,11 @@
 // Unit tests for streaming statistics, distribution samplers and the
 // Pollaczek–Khinchine estimator (paper Equation 1).
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -81,6 +86,73 @@ TEST(WindowedStats, EmptyIsZero) {
   EXPECT_TRUE(w.empty());
   EXPECT_DOUBLE_EQ(w.mean(), 0.0);
   EXPECT_DOUBLE_EQ(w.second_moment(), 0.0);
+}
+
+// The deque-backed window the ring replaced, kept as the reference: its
+// sums take each new sample before they drop the evicted one.
+class DequeWindow {
+ public:
+  explicit DequeWindow(std::size_t window) : window_(window) {}
+  void Add(double x) {
+    samples_.push_back(x);
+    sum_ += x;
+    sum_sq_ += x * x;
+    if (samples_.size() > window_) {
+      const double old = samples_.front();
+      samples_.pop_front();
+      sum_ -= old;
+      sum_sq_ -= old * old;
+    }
+  }
+  void Clear() {
+    samples_.clear();
+    sum_ = 0.0;
+    sum_sq_ = 0.0;
+  }
+  std::size_t count() const { return samples_.size(); }
+  double sum() const { return sum_; }
+  double mean() const {
+    return samples_.empty() ? 0.0 : sum_ / static_cast<double>(count());
+  }
+  double second_moment() const {
+    return samples_.empty()
+               ? 0.0
+               : std::max(0.0, sum_sq_ / static_cast<double>(count()));
+  }
+
+ private:
+  std::size_t window_;
+  std::deque<double> samples_;
+  double sum_ = 0.0;
+  double sum_sq_ = 0.0;
+};
+
+TEST(WindowedStats, RingIsBitwiseTheDequeWindow) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const std::size_t window : {1, 2, 64}) {
+    WindowedStats ring(window);
+    DequeWindow reference(window);
+    util::Rng rng(window);
+    for (int i = 0; i < 1000; ++i) {
+      if (i == 500) {
+        ring.Clear();
+        reference.Clear();
+      }
+      // Magnitudes from 1e-3 to 1e3, so evictions round.
+      const double scale =
+          std::pow(10.0, static_cast<double>(rng.NextBounded(7)) - 3);
+      const double x = rng.NextDouble() * scale;
+      ring.Add(x);
+      reference.Add(x);
+      const std::string at =
+          "window " + std::to_string(window) + " at " + std::to_string(i);
+      ASSERT_EQ(ring.count(), reference.count()) << at;
+      ASSERT_EQ(bits(ring.sum()), bits(reference.sum())) << at;
+      ASSERT_EQ(bits(ring.mean()), bits(reference.mean())) << at;
+      ASSERT_EQ(bits(ring.second_moment()), bits(reference.second_moment()))
+          << at;
+    }
+  }
 }
 
 TEST(WindowedStatsDeathTest, ZeroWindowAborts) {

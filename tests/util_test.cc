@@ -1,7 +1,10 @@
-// Unit tests for src/util: rng, flags, format, histogram, bitset.
+// Unit tests for src/util: rng, flags, format, histogram, bitset, indexed
+// bitset.
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,7 +13,10 @@
 #include "util/flags.h"
 #include "util/format.h"
 #include "util/histogram.h"
+#include "util/indexed_bitset.h"
 #include "util/rng.h"
+
+#include "reference_sampler.h"
 
 namespace phoenix::util {
 namespace {
@@ -510,7 +516,8 @@ TEST(Bitset, CountAndAny) {
 
 TEST(Bitset, CountPrefixMatchesBitByBitCount) {
   // Every word boundary case: empty, one bit, a word but one, a whole word,
-  // a word and one, and the full (non-word-multiple) size.
+  // a word and one, and the full (non-word-multiple) size. Prefix counts
+  // are a pool's: IndexedBitset answers them from its rank directory.
   const std::size_t size = 130;
   Bitset b(size);
   Rng rng(11);
@@ -521,15 +528,16 @@ TEST(Bitset, CountPrefixMatchesBitByBitCount) {
   b.Set(63);
   b.Set(64);
   b.Set(size - 1);
+  const IndexedBitset pool{Bitset(b)};
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{63},
                               std::size_t{64}, std::size_t{65}, size}) {
     std::size_t expected = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (b.Test(i)) ++expected;
     }
-    EXPECT_EQ(b.CountPrefix(n), expected) << "n=" << n;
+    EXPECT_EQ(pool.CountPrefix(n), expected) << "n=" << n;
   }
-  EXPECT_EQ(b.CountPrefix(size), b.Count());
+  EXPECT_EQ(pool.CountPrefix(size), b.Count());
 }
 
 TEST(Bitset, SetAllRespectsSize) {
@@ -604,44 +612,6 @@ TEST(Bitset, ForEachSetBitVisitsEveryRangeInOrder) {
   }
 }
 
-TEST(Bitset, SampleSetBitReturnsOnlySetBits) {
-  Bitset b(1000);
-  b.Set(17);
-  b.Set(333);
-  Rng rng(3);
-  for (int i = 0; i < 200; ++i) {
-    const std::size_t s = b.SampleSetBit(rng);
-    EXPECT_TRUE(s == 17 || s == 333);
-  }
-}
-
-TEST(Bitset, SampleSetBitEmptyReturnsSentinel) {
-  Bitset b(100);
-  Rng rng(4);
-  EXPECT_EQ(b.SampleSetBit(rng), SIZE_MAX);
-}
-
-TEST(Bitset, SampleSetBitSparseUsesRankSelect) {
-  // One bit in a large set: rejection nearly always misses, forcing the
-  // rank-select fallback.
-  Bitset b(100000);
-  b.Set(99999);
-  Rng rng(5);
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(b.SampleSetBit(rng), 99999u);
-}
-
-TEST(Bitset, SampleSetBitIsRoughlyUniform) {
-  Bitset b(10);
-  for (std::size_t i = 0; i < 10; ++i) b.Set(i);
-  Rng rng(6);
-  std::vector<int> counts(10, 0);
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) ++counts[b.SampleSetBit(rng)];
-  for (const int c : counts) {
-    EXPECT_NEAR(static_cast<double>(c) / n, 0.1, 0.02);
-  }
-}
-
 TEST(Bitset, ResizeClearsContents) {
   Bitset b(10);
   b.Set(3);
@@ -649,6 +619,120 @@ TEST(Bitset, ResizeClearsContents) {
   EXPECT_EQ(b.Count(), 0u);
   b.Resize(5, true);
   EXPECT_EQ(b.Count(), 5u);
+}
+
+// ---------------------------------------------------------- IndexedBitset
+
+TEST(IndexedBitset, SampleReturnsOnlySetBits) {
+  Bitset b(1000);
+  b.Set(17);
+  b.Set(333);
+  const IndexedBitset pool(std::move(b));
+  Rng rng(3);
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t s = pool.Sample(rng);
+    EXPECT_TRUE(s == 17 || s == 333);
+  }
+}
+
+TEST(IndexedBitset, SampleEmptyReturnsSentinel) {
+  const IndexedBitset pool(Bitset(100));
+  Rng rng(4);
+  EXPECT_EQ(pool.Sample(rng), SIZE_MAX);
+}
+
+TEST(IndexedBitset, SampleSparseUsesRankSelect) {
+  // One bit in a large set: rejection nearly always misses, forcing the
+  // rank-select fallback.
+  Bitset b(100000);
+  b.Set(99999);
+  const IndexedBitset pool(std::move(b));
+  Rng rng(5);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(pool.Sample(rng), 99999u);
+}
+
+TEST(IndexedBitset, SampleIsRoughlyUniform) {
+  const IndexedBitset pool(Bitset(10, true));
+  Rng rng(6);
+  std::vector<int> counts(10, 0);
+  const int n = 20000;
+  for (int i = 0; i < n; ++i) ++counts[pool.Sample(rng)];
+  for (const int c : counts) {
+    EXPECT_NEAR(static_cast<double>(c) / n, 0.1, 0.02);
+  }
+}
+
+// Sizes on both sides of the word (64) and directory block (512) bounds.
+// Fill 0 is empty, 1 holds only the first bit and 2 only the last; 3 to 6
+// set each bit with probability 0.1%, 5%, 50% and 100%.
+struct PoolCase {
+  std::size_t size;
+  int fill;
+  std::string Name() const {
+    return "size=" + std::to_string(size) + " fill=" + std::to_string(fill);
+  }
+};
+
+std::vector<PoolCase> PoolCases() {
+  std::vector<PoolCase> cases;
+  for (const std::size_t size : {1, 63, 64, 65, 511, 512, 513, 1000, 15000}) {
+    for (int fill = 0; fill < 7; ++fill) cases.push_back({size, fill});
+  }
+  return cases;
+}
+
+Bitset FillPool(const PoolCase& c) {
+  Bitset b(c.size);
+  if (c.fill == 1) b.Set(0);
+  if (c.fill == 2) b.Set(c.size - 1);
+  if (c.fill >= 3) {
+    const double share[] = {0.001, 0.05, 0.5, 1.0};
+    Rng rng(c.size * 31 + static_cast<std::size_t>(c.fill));
+    for (std::size_t i = 0; i < c.size; ++i) {
+      if (rng.Bernoulli(share[c.fill - 3])) b.Set(i);
+    }
+  }
+  return b;
+}
+
+TEST(IndexedBitset, SampleMatchesTheReferenceSampler) {
+  for (const PoolCase& c : PoolCases()) {
+    const Bitset bits = FillPool(c);
+    const IndexedBitset pool{Bitset(bits)};
+    Rng indexed(c.size + 1000), reference(c.size + 1000);
+    for (int i = 0; i < 400; ++i) {
+      ASSERT_EQ(pool.Sample(indexed),
+                testing_reference::SampleSetBit(bits, reference))
+          << c.Name() << " draw " << i;
+    }
+    // Both consumed the same draws: the next raw outputs agree.
+    EXPECT_EQ(indexed.Next(), reference.Next()) << c.Name();
+  }
+}
+
+TEST(IndexedBitset, CountsAndSelectMatchBitByBitWalk) {
+  for (const PoolCase& c : PoolCases()) {
+    const Bitset bits = FillPool(c);
+    const IndexedBitset pool{Bitset(bits)};
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < c.size; ++i) count += bits.Test(i);
+    EXPECT_EQ(pool.Count(), count) << c.Name();
+    EXPECT_EQ(pool.Any(), count > 0) << c.Name();
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{63},
+                                std::size_t{64}, std::size_t{65},
+                                std::size_t{511}, std::size_t{512},
+                                std::size_t{513}, c.size}) {
+      if (n > c.size) continue;
+      std::size_t expected = 0;
+      for (std::size_t i = 0; i < n; ++i) expected += bits.Test(i);
+      EXPECT_EQ(pool.CountPrefix(n), expected) << c.Name() << " n=" << n;
+    }
+    std::vector<std::uint32_t> ids;
+    bits.CollectSetBits(ids);
+    for (std::size_t rank = 0; rank < ids.size(); ++rank) {
+      ASSERT_EQ(pool.Select(rank), ids[rank]) << c.Name() << " rank=" << rank;
+    }
+  }
 }
 
 // Property sweep: bitset ops agree with a std::vector<bool> reference model.
