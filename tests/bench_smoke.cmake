@@ -1,17 +1,27 @@
 # Runs BIN with ARGS (one space-separated string; "%DIR%" stands for the
-# output directory DIR, emptied first). The run must exit 0 and write
-# DIR/cells.json, whose cells then pass the checks named by CHECK:
+# output directory DIR, emptied first). The run must exit 0. Except for the
+# chaos check, it must also write DIR/cells.json, whose cells then pass the
+# checks named by CHECK:
 #
-#   energy   diurnal park + DVFS cells: joules metered in every cell, deep
-#            park engaged, and parking saved energy against always-on;
-#   packing  gang + malleable cells on a lossy fabric: the run was audited,
-#            every cell packed with an efficiency in (0, 1], gangs
-#            committed and malleable widths moved.
+#   chaos       Figure 7 on a lossy fabric with retries: exiting 0 is the
+#               whole assertion (no JSON);
+#   energy      diurnal park + DVFS cells: joules metered in every cell,
+#               deep park engaged, and parking saved energy against
+#               always-on;
+#   federation  sharded cells on a lossy, duplicating, reordering fabric:
+#               the run was audited, gossip landed in a multi-shard cell,
+#               version ordering dropped stale gossip under chaos, and
+#               every shard count scans fewer machines per heartbeat than
+#               one shard;
+#   packing     gang + malleable cells on a lossy fabric: the run was
+#               audited, every cell packed with an efficiency in (0, 1],
+#               gangs committed and malleable widths moved.
 #
-# The benches run with --audit, and the runner aborts on any invariant
-# violation (power legality and energy conservation; capacity conservation
-# and gang atomicity), so exiting 0 is the violation-free assertion and the
-# checks prove the subsystem engaged.
+# The benches run audited, and the runner aborts on any invariant violation
+# (message conservation; power legality and energy conservation; fed-bind
+# conservation, accepts only on active machines and gossip version
+# monotonicity; capacity conservation and gang atomicity), so exiting 0 is
+# the violation-free assertion and the checks prove the subsystem engaged.
 #
 #   cmake -DBIN=<exe> -DDIR=<dir> -DCHECK=energy
 #         "-DARGS=--nodes=48 --jobs=600 --runs=1 --audit --json=%DIR%/cells.json"
@@ -26,6 +36,10 @@ execute_process(COMMAND "${BIN}" ${args}
                 OUTPUT_QUIET ERROR_VARIABLE err RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BIN} exited with ${rc}:\n${err}")
+endif()
+if(CHECK STREQUAL "chaos")
+  message(STATUS "chaos smoke ok: auditor clean")
+  return()
 endif()
 file(READ "${DIR}/cells.json" doc)
 string(JSON ncells LENGTH "${doc}" cells)
@@ -87,6 +101,54 @@ if(CHECK STREQUAL "energy")
   if(NOT saved)
     message(FATAL_ERROR "parking saved no energy vs always-on")
   endif()
+elseif(CHECK STREQUAL "federation")
+  string(JSON audit GET "${doc}" config audit)
+  if(NOT audit)
+    message(FATAL_ERROR "federation smoke must run audited")
+  endif()
+  set(sharded 0)
+  set(applied FALSE)
+  set(stale_dropped FALSE)
+  set(shard_counts "")
+  foreach(i RANGE ${last})
+    cell_field(shards ${i} shards)
+    # The last cell with a shard count sets that count's span.
+    cell_field(span_${shards} ${i} heartbeat_span)
+    list(APPEND shard_counts ${shards})
+    if(NOT shards GREATER 1)
+      continue()
+    endif()
+    math(EXPR sharded "${sharded} + 1")
+    cell_field(gossip ${i} fed_gossip_applied)
+    if(gossip GREATER 0)
+      set(applied TRUE)
+    endif()
+    cell_field(chaos ${i} chaos)
+    cell_field(dropped ${i} fed_gossip_stale_dropped)
+    if(chaos AND dropped GREATER 0)
+      set(stale_dropped TRUE)
+    endif()
+  endforeach()
+  if(sharded EQUAL 0)
+    message(FATAL_ERROR "no multi-shard cells")
+  endif()
+  if(NOT applied)
+    message(FATAL_ERROR "gossip never landed")
+  endif()
+  if(NOT stale_dropped)
+    message(FATAL_ERROR "version ordering never engaged under chaos")
+  endif()
+  if(NOT DEFINED span_1)
+    message(FATAL_ERROR "no single-shard cell")
+  endif()
+  list(REMOVE_DUPLICATES shard_counts)
+  foreach(s IN LISTS shard_counts)
+    if(s GREATER 1 AND NOT span_${s} LESS span_1)
+      message(FATAL_ERROR "sharding did not shrink the heartbeat scan "
+                          "bound (${s} shards scan ${span_${s}}, one shard "
+                          "scans ${span_1})")
+    endif()
+  endforeach()
 elseif(CHECK STREQUAL "packing")
   string(JSON audit GET "${doc}" config audit)
   if(NOT audit)
@@ -130,6 +192,7 @@ elseif(CHECK STREQUAL "packing")
     message(FATAL_ERROR "malleable width never moved")
   endif()
 else()
-  message(FATAL_ERROR "unknown CHECK \"${CHECK}\" (energy|packing)")
+  message(FATAL_ERROR
+          "unknown CHECK \"${CHECK}\" (chaos|energy|federation|packing)")
 endif()
 message(STATUS "${CHECK} smoke ok: ${ncells} audited cells")
