@@ -42,8 +42,8 @@ BENCHMARK(BM_EngineScheduleFire);
 
 // Probe-cancellation pattern: most scheduled events are cancelled before
 // firing (late binding cancels a job's sibling probes once placed). The
-// engine compacts tombstones once they outnumber half the live entries,
-// keeping the heap O(live) instead of O(scheduled).
+// engine sweeps out cancelled events' stale keys once they outnumber half
+// the live entries, keeping the calendar O(live) instead of O(scheduled).
 void BM_EngineCancelHeavy(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;
@@ -62,9 +62,9 @@ void BM_EngineCancelHeavy(benchmark::State& state) {
 BENCHMARK(BM_EngineCancelHeavy);
 
 // Same-day fan-out: one callback schedules K events into the day being
-// served, as a probe wave or an RPC burst does. Each lands in the unserved
-// ready tail by insertion; the offsets are a permutation of K ticks, so
-// most inserts land mid-tail and shift the entries after them.
+// served, as a probe wave or an RPC burst does. They are staged and folded
+// into the unserved ready tail in one merge; the offsets are a permutation
+// of K ticks, so the staging run needs a real sort before the merge.
 void BM_EngineSameDayBurst(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   for (auto _ : state) {

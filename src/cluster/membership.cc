@@ -1,7 +1,6 @@
 #include "cluster/membership.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "util/check.h"
 
@@ -11,8 +10,7 @@ MembershipView::MembershipView(const Cluster& cluster,
                                std::size_t guaranteed_active)
     : cluster_(cluster), guaranteed_(guaranteed_active),
       states_(cluster.size(), MachineLifecycle::kParked),
-      bindable_(cluster.size()), parked_(cluster.size()),
-      cache_(std::make_unique<PoolCache>()) {
+      bindable_(cluster.size()), parked_(cluster.size()) {
   PHOENIX_CHECK_MSG(guaranteed_active > 0,
                     "the guaranteed base fleet cannot be empty");
   PHOENIX_CHECK_MSG(guaranteed_active <= cluster.size(),
@@ -85,56 +83,43 @@ void MembershipView::SetState(MachineId id, MachineLifecycle next) {
   }
   ++epoch_;
   // Membership changed: every memoized eligible pool is stale.
-  std::unique_lock lock(cache_->mu);
-  cache_->pools.clear();
-  cache_->pool_ids.clear();
-  cache_->predicate_counts.clear();
-  cache_->parked_predicate_counts.clear();
+  cache_.pools.clear();
+  cache_.pool_ids.clear();
+  cache_.predicate_counts.clear();
+  cache_.parked_predicate_counts.clear();
 }
 
 std::size_t MembershipView::CountParkedSatisfying(const Constraint& c) const {
   const std::uint32_t key = EncodePredicate(c);
-  {
-    std::shared_lock lock(cache_->mu);
-    const auto it = cache_->parked_predicate_counts.find(key);
-    if (it != cache_->parked_predicate_counts.end()) return it->second;
-  }
+  const auto it = cache_.parked_predicate_counts.find(key);
+  if (it != cache_.parked_predicate_counts.end()) return it->second;
   util::Bitset pool = cluster_.Satisfying(c).bits();
   pool.AndWith(parked_);
   const std::size_t count = pool.Count();
-  std::unique_lock lock(cache_->mu);
-  cache_->parked_predicate_counts.emplace(key, count);
+  cache_.parked_predicate_counts.emplace(key, count);
   return count;
 }
 
 const util::IndexedBitset& MembershipView::EligiblePool(
     const ConstraintSet& cs) const {
   const Cluster::SetKey key = Cluster::KeyFor(cs);
-  {
-    std::shared_lock lock(cache_->mu);
-    const auto it = cache_->pools.find(key);
-    if (it != cache_->pools.end()) return it->second;
-  }
+  const auto it = cache_.pools.find(key);
+  if (it != cache_.pools.end()) return it->second;
   // A copy; all-ones when `cs` is empty.
   util::Bitset bits = cluster_.Satisfying(cs).bits();
   bits.AndWith(bindable_);
-  util::IndexedBitset pool(std::move(bits));
-  std::unique_lock lock(cache_->mu);
-  return cache_->pools.emplace(key, std::move(pool)).first->second;
+  return cache_.pools.emplace(key, util::IndexedBitset(std::move(bits)))
+      .first->second;
 }
 
 std::size_t MembershipView::CountEligible(const Constraint& c) const {
   const std::uint32_t key = EncodePredicate(c);
-  {
-    std::shared_lock lock(cache_->mu);
-    const auto it = cache_->predicate_counts.find(key);
-    if (it != cache_->predicate_counts.end()) return it->second;
-  }
+  const auto it = cache_.predicate_counts.find(key);
+  if (it != cache_.predicate_counts.end()) return it->second;
   util::Bitset pool = cluster_.Satisfying(c).bits();
   pool.AndWith(bindable_);
   const std::size_t count = pool.Count();
-  std::unique_lock lock(cache_->mu);
-  cache_->predicate_counts.emplace(key, count);
+  cache_.predicate_counts.emplace(key, count);
   return count;
 }
 
@@ -169,15 +154,11 @@ std::vector<MachineId> MembershipView::SampleEligible(const ConstraintSet& cs,
 const std::vector<std::uint32_t>& MembershipView::EligibleIds(
     const ConstraintSet& cs) const {
   const Cluster::SetKey key = Cluster::KeyFor(cs);
-  {
-    std::shared_lock lock(cache_->mu);
-    const auto it = cache_->pool_ids.find(key);
-    if (it != cache_->pool_ids.end()) return it->second;
-  }
+  const auto it = cache_.pool_ids.find(key);
+  if (it != cache_.pool_ids.end()) return it->second;
   std::vector<std::uint32_t> ids;
   EligiblePool(cs).CollectSetBits(ids);
-  std::unique_lock lock(cache_->mu);
-  return cache_->pool_ids.emplace(key, std::move(ids)).first->second;
+  return cache_.pool_ids.emplace(key, std::move(ids)).first->second;
 }
 
 std::vector<MachineId> MembershipView::SampleDistinctEligible(

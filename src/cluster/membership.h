@@ -20,9 +20,10 @@
 // per-predicate bitsets: an eligible pool is (satisfying pool AND bindable
 // bitset), memoized per constraint set as an immutable IndexedBitset and
 // invalidated wholesale whenever membership changes (the epoch counter).
-// Lookups follow the same shared_mutex discipline as Cluster's caches, so
-// the parallel experiment runner can share a view-less cluster while
-// elastic runs each own a view.
+// Every run builds its own view and reads it from its one simulation
+// thread, so the cache takes no lock; the Cluster underneath keeps its
+// locked caches because the parallel experiment runner shares one Cluster
+// across runs.
 //
 // Determinism contract: the sampling helpers mirror Cluster's algorithms
 // bit for bit — a view with every machine active consumes the identical RNG
@@ -32,8 +33,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <shared_mutex>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -133,19 +132,17 @@ class MembershipView {
   std::uint64_t epoch_ = 0;
 
   // Per-epoch eligible pools (cluster pool AND bindable), cleared on every
-  // membership change. Same discipline as Cluster::EligibilityCaches:
-  // shared-lock lookup, compute unlocked, exclusive-lock insert; map nodes
-  // are stable so returned references survive until the epoch flips (the
-  // simulation thread that flips epochs is the one consuming the refs, so
-  // no reference outlives its epoch).
+  // membership change. Filled lazily by const lookups from the run's one
+  // thread; map nodes are stable, so a returned reference survives until
+  // the epoch flips (the thread that flips epochs is the one consuming the
+  // references, so no reference outlives its epoch).
   struct PoolCache {
-    std::shared_mutex mu;
     std::map<Cluster::SetKey, util::IndexedBitset> pools;
     std::map<Cluster::SetKey, std::vector<std::uint32_t>> pool_ids;
     std::map<std::uint32_t, std::size_t> predicate_counts;
     std::map<std::uint32_t, std::size_t> parked_predicate_counts;
   };
-  std::unique_ptr<PoolCache> cache_;
+  mutable PoolCache cache_;
 };
 
 }  // namespace phoenix::cluster

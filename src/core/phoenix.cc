@@ -44,9 +44,9 @@ void PhoenixScheduler::AdmitJob(JobRuntime& job) {
   }
 }
 
-void PhoenixScheduler::ApplyWaitReport(WorkerState& w, double estimate) {
-  w.last_wait_estimate = estimate;
-  w.crv_marked = CongestedFor(w.id) && estimate > config().qwait_threshold;
+void PhoenixScheduler::ApplyWaitReport(MachineId id, double estimate) {
+  PublishWait(id, estimate,
+              CongestedFor(id) && estimate > config().qwait_threshold);
 }
 
 void PhoenixScheduler::RefreshShardCrv(std::uint32_t shard) {
@@ -118,24 +118,45 @@ void PhoenixScheduler::OnHeartbeat(MachineId lo, MachineId hi) {
   }
   const bool ideal_net = fabric().FastPath();
   bool any_marked = false;
-  for (MachineId i = lo; i < hi; ++i) {
-    WorkerState& w = worker(i);
-    const double estimate = w.estimator.EstimateWait();
-    if (ideal_net) {
-      ApplyWaitReport(w, estimate);
-    } else {
-      // Worker-side E[W] reports transit the fabric to the CRV monitor as
-      // unreliable datagrams (the next tick supersedes them, so no retry):
-      // a dropped or delayed report leaves the previous, stale estimate
-      // steering probe placement until the next heartbeat lands.
-      fabric().Send(w.id, net::kControllerNode,
-                    net::MessageKind::kHeartbeatReport, one_way(),
-                    [this, wid = w.id, estimate] {
-                      ApplyWaitReport(worker(wid), estimate);
-                      return true;
-                    });
+  if (ideal_net && federation() == nullptr) {
+    // Every report would land at the tick, and a machine off the moved list
+    // would report what it published last: its estimator's inputs have not
+    // moved since. So only the moved machines republish, and a congestion
+    // flip re-derives every mark from the published estimates.
+    for (const MachineId id : moved_estimators()) {
+      ApplyWaitReport(id, worker(id).estimator.EstimateWait());
     }
-    any_marked = any_marked || w.crv_marked;
+    ClearMovedEstimators();
+    if (congested_ != marks_congested_) {
+      for (MachineId i = lo; i < hi; ++i) {
+        SetCrvMark(i, congested_ &&
+                          published_wait(i) > config().qwait_threshold);
+      }
+      marks_congested_ = congested_;
+    }
+    any_marked = crv_mark_count() > 0;
+  } else {
+    for (MachineId i = lo; i < hi; ++i) {
+      const double estimate = worker(i).estimator.EstimateWait();
+      if (ideal_net) {
+        ApplyWaitReport(i, estimate);
+      } else {
+        // Worker-side E[W] reports transit the fabric to the CRV monitor as
+        // unreliable datagrams (the next tick supersedes them, so no
+        // retry): a dropped or delayed report leaves the previous, stale
+        // estimate steering probe placement until the next heartbeat
+        // lands. A landed report may differ from the estimator by then, so
+        // it marks the machine moved for the next ideal-fabric tick.
+        fabric().Send(i, net::kControllerNode,
+                      net::MessageKind::kHeartbeatReport, one_way(),
+                      [this, i, estimate] {
+                        ApplyWaitReport(i, estimate);
+                        MarkEstimatorMoved(i);
+                        return true;
+                      });
+      }
+      any_marked = any_marked || crv_marked(i);
+    }
   }
   // The tick's own table: the global snapshot unsharded, the refreshed
   // shard belief under federation.
@@ -175,7 +196,7 @@ bool PhoenixScheduler::TouchesHotDim(const JobRuntime& job,
 
 std::size_t PhoenixScheduler::SelectNextIndex(const WorkerState& worker) {
   if (!config().phoenix_crv_reorder ||
-      !(CongestedFor(worker.id) && worker.crv_marked)) {
+      !(CongestedFor(worker.id) && crv_marked(worker.id))) {
     return EagleScheduler::SelectNextIndex(worker);  // SRPT + slack
   }
   // CRV-based reordering: among *short* entries demanding the hottest
@@ -230,8 +251,8 @@ std::vector<MachineId> PhoenixScheduler::ChooseProbeTargets(
   std::partial_sort(candidates.begin(),
                     candidates.begin() + static_cast<std::ptrdiff_t>(wanted),
                     candidates.end(), [this](MachineId a, MachineId b) {
-                      const double wa = worker(a).last_wait_estimate;
-                      const double wb = worker(b).last_wait_estimate;
+                      const double wa = published_wait(a);
+                      const double wb = published_wait(b);
                       if (wa != wb) return wa < wb;
                       return a < b;
                     });

@@ -111,7 +111,7 @@ class PhoenixScheduler : public sched::EagleScheduler {
   /// fabric this is applied synchronously at the tick; otherwise each
   /// report transits the fabric, so drops/delays leave stale estimates —
   /// the eventual-consistency failure mode the netplane bench studies.
-  void ApplyWaitReport(sched::WorkerState& w, double estimate);
+  void ApplyWaitReport(cluster::MachineId id, double estimate);
 
   static constexpr std::size_t kMaxHistory = 4096;
 
@@ -119,6 +119,9 @@ class PhoenixScheduler : public sched::EagleScheduler {
   AdmissionController admission_;
   CrvSnapshot snapshot_;
   bool congested_ = false;
+  /// The congestion flag every mark of a machine off the moved list was
+  /// computed under (ideal-fabric, unsharded ticks only).
+  bool marks_congested_ = false;
   std::vector<CrvSample> history_;
   /// Federated per-shard beliefs (empty unsharded and until the first
   /// federated heartbeat sizes them).

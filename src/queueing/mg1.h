@@ -53,9 +53,11 @@ class WorkerWaitEstimator {
 
   /// Current estimate of E[W]; +infinity when the observed load is >= 1,
   /// 0 when there is not yet enough data to estimate. Memoized: the
-  /// schedulers poll every worker's estimate once per heartbeat, but the
-  /// inputs only move on arrival/completion, so repeated polls between
-  /// samples are one flag test.
+  /// fleet passes (the tenancy and elasticity fleet means, the power
+  /// controller, Phoenix's lossy or sharded report walk) poll many
+  /// estimates per heartbeat, but the inputs only move on
+  /// arrival/completion, so repeated polls between samples are one flag
+  /// test.
   double EstimateWait() const;
 
   /// Observed utilization rho = lambda * E[S] (0 when unseeded).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "cluster/capacity.h"
 #include "metrics/fairness.h"
@@ -43,6 +44,11 @@ SchedulerBase::SchedulerBase(sim::Engine& engine,
   occupied_.assign(cluster.size(), 0);
   steal_gate_.assign(cluster.size(), 0);
   long_busy_.assign(cluster.size(), 0);
+  published_wait_.assign(cluster.size(), 0.0);
+  crv_marks_.assign(cluster.size(), 0);
+  moved_flags_.assign(cluster.size(), 1);
+  moved_.resize(cluster.size());
+  std::iota(moved_.begin(), moved_.end(), MachineId{0});
   if (config_.packing.enabled) {
     packing_on_ = true;
     max_capacity_ = cluster::MaxCapacity(cluster);
@@ -252,6 +258,7 @@ bool SchedulerBase::ParkMachine(MachineId id) {
   ResetLoadSignals(w);
   RefreshHints(w);
   w.estimator.SetWakePenalty(power_->WakePenalty(id));
+  MarkEstimatorMoved(id);
   return true;
 }
 
@@ -418,6 +425,7 @@ void SchedulerBase::SubmitTrace(const trace::Trace& trace) {
       std::uint32_t servers = w.capacity.CopiesOf(mean_demand_);
       if (servers < 1) servers = 1;
       w.estimator.SetEffectiveServers(servers);
+      MarkEstimatorMoved(w.id);
       for (std::size_t d = 0; d < packing::kNumPackDims; ++d) {
         Emit(EventType::kPackCapacity, obs::kNoId,
              static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(d),
@@ -458,6 +466,7 @@ void SchedulerBase::SubmitTrace(const trace::Trace& trace) {
       if (power_->asleep(static_cast<MachineId>(i))) {
         workers_[i].estimator.SetWakePenalty(
             power_->WakePenalty(static_cast<MachineId>(i)));
+        MarkEstimatorMoved(static_cast<MachineId>(i));
       }
     }
   }
@@ -604,9 +613,14 @@ void SchedulerBase::ReleaseControlSlot(WorkerState& worker) {
 
 void SchedulerBase::ResetLoadSignals(WorkerState& worker) {
   worker.estimator.Clear();
-  worker.last_wait_estimate = 0;
-  worker.crv_marked = false;
+  MarkEstimatorMoved(worker.id);
+  PublishWait(worker.id, 0, false);
   worker.steal_inflight = false;
+}
+
+void SchedulerBase::ClearMovedEstimators() {
+  for (const MachineId id : moved_) moved_flags_[id] = 0;
+  moved_.clear();
 }
 
 obs::WorkerHints SchedulerBase::HintsOf(const WorkerState& worker) const {
@@ -746,7 +760,7 @@ void SchedulerBase::HeartbeatTick(std::uint32_t shard) {
       sample.queue_len = static_cast<std::uint32_t>(w.queue.size());
       sample.est_queued_work = w.est_queued_work;
       sample.wait_estimate = w.estimator.EstimateWait();
-      sample.crv_marked = w.crv_marked;
+      sample.crv_marked = crv_marked(w.id);
       sample.busy = w.busy || !w.runs.empty();
       sample.failed = w.failed;
       for (obs::EventSink* sink : sinks_) sink->OnWorkerSample(sample);
@@ -1394,6 +1408,7 @@ void SchedulerBase::EnqueueEntry(WorkerState& worker, QueueEntry entry) {
   }
   RefreshHints(worker);
   worker.estimator.OnArrival(engine_.Now());
+  MarkEstimatorMoved(worker.id);
   OnEntryEnqueued(worker, entry);
   if (tenancy_on_) TenantQueuedDelta(entry, +1);
 }
@@ -1684,6 +1699,7 @@ void SchedulerBase::FinishRun(MachineId wid, std::uint32_t run_id,
   MeterExecEnd(worker);
   StopRun(worker, run);
   worker.estimator.OnServiceComplete(duration);
+  MarkEstimatorMoved(wid);
   if (tenancy_on_ && tenants_.Known(job.tenant)) {
     tenants_.state(job.tenant).usage_seconds += duration;
   }

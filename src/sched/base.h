@@ -143,6 +143,22 @@ class SchedulerBase {
   /// Short probes queued fleet-wide: the sum of the per-worker counts
   /// TryStealFor's victim scan tests.
   std::uint64_t short_probes_queued() const { return short_probes_queued_; }
+
+  // ---- Published wait estimates (DESIGN §4b2) -----------------------------
+  //
+  // The E[W] each worker last reported to the CRV monitor and its CRV
+  // reorder mark (Algorithm 1), in dense per-machine arrays. Phoenix's
+  // heartbeat writes them through PublishWait; ResetLoadSignals zeroes
+  // them. Every other scheduler leaves them at zero.
+
+  /// E[W] the machine last published (0 before its first report).
+  double published_wait(cluster::MachineId id) const {
+    return published_wait_[id];
+  }
+  /// The machine was marked for CRV-based reordering at its last report.
+  bool crv_marked(cluster::MachineId id) const { return crv_marks_[id] != 0; }
+  /// Number of marked machines.
+  std::size_t crv_mark_count() const { return crv_mark_count_; }
   /// The run's counters, which BuildReport copies into the report. The
   /// elasticity controller counts its own decisions into them too.
   metrics::SchedulerCounters& counters() { return counters_; }
@@ -444,6 +460,40 @@ class SchedulerBase {
   /// Multi-resource packing is enabled for this run.
   bool packing_on() const { return packing_on_; }
 
+  // ---- Moved estimators ----------------------------------------------------
+
+  /// Lands one E[W] report: the published estimate and its CRV mark.
+  void PublishWait(cluster::MachineId id, double estimate, bool marked) {
+    published_wait_[id] = estimate;
+    SetCrvMark(id, marked);
+  }
+  /// Sets one machine's CRV mark, keeping the running count.
+  void SetCrvMark(cluster::MachineId id, bool marked) {
+    if (marked == (crv_marks_[id] != 0)) return;
+    crv_marks_[id] = marked ? 1 : 0;
+    if (marked) {
+      ++crv_mark_count_;
+    } else {
+      --crv_mark_count_;
+    }
+  }
+  /// The one marker of moved estimators: `id`'s EstimateWait may differ
+  /// from what it published. Called wherever an estimator's inputs change
+  /// (arrival, completion, Clear, wake penalty, effective servers), so a
+  /// machine off the list still publishes its current estimate. Every
+  /// machine starts out moved; the list holds each machine at most once.
+  void MarkEstimatorMoved(cluster::MachineId id) {
+    if (moved_flags_[id] != 0) return;
+    moved_flags_[id] = 1;
+    moved_.push_back(id);
+  }
+  /// The machines marked since the last ClearMovedEstimators, in the order
+  /// they moved.
+  const std::vector<cluster::MachineId>& moved_estimators() const {
+    return moved_;
+  }
+  void ClearMovedEstimators();
+
   /// Fleet residual-capacity fraction in cores, weighted by the per-machine
   /// effective-server counts — Phoenix scales its CRV supply by this so the
   /// table prices "how many more tasks the fleet can absorb", not "how many
@@ -489,7 +539,7 @@ class SchedulerBase {
   /// release the slot and look for other work.
   void AbortFetch(cluster::MachineId wid);
   /// Clears the load signals a commission, park, retire or repair
-  /// invalidates: the estimator, the E[W] snapshot, the CRV mark and a
+  /// invalidates: the estimator, the published E[W], the CRV mark and a
   /// pending steal.
   void ResetLoadSignals(WorkerState& worker);
   /// Closes the in-service machine-seconds integral at the current time
@@ -743,6 +793,13 @@ class SchedulerBase {
   std::vector<std::uint8_t> occupied_;
   std::vector<std::uint8_t> steal_gate_;
   std::vector<std::uint8_t> long_busy_;
+  /// Published E[W] and CRV marks (see published_wait()), with the running
+  /// mark count, and the moved-estimator list with its membership bytes.
+  std::vector<double> published_wait_;
+  std::vector<std::uint8_t> crv_marks_;
+  std::size_t crv_mark_count_ = 0;
+  std::vector<cluster::MachineId> moved_;
+  std::vector<std::uint8_t> moved_flags_;
   std::vector<JobRuntime> jobs_;
   std::size_t jobs_done_ = 0;
 

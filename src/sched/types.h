@@ -291,11 +291,6 @@ struct WorkerState {
   /// Online P-K estimator (Algorithm 1's Estimate_Waiting_Time inputs).
   queueing::WorkerWaitEstimator estimator;
 
-  /// Phoenix: E[W] snapshot taken at the last heartbeat.
-  double last_wait_estimate = 0;
-  /// Phoenix: marked for CRV-based reordering at the last heartbeat.
-  bool crv_marked = false;
-
   /// A steal request is in flight (prevents steal storms).
   bool steal_inflight = false;
 

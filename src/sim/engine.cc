@@ -7,9 +7,9 @@
 namespace phoenix::sim {
 
 namespace {
-// Purging pays one O(n) calendar sweep to drop ~n/3 of the entries; below
+// Purging pays one O(n) calendar sweep to drop ~n/3 of the keys; below
 // this size the win is noise and the sweep would run on every few cancels.
-constexpr std::size_t kMinTombstonesForPurge = 64;
+constexpr std::size_t kMinStaleForPurge = 64;
 // Initial calendar size; doubles whenever live events outgrow it.
 constexpr std::size_t kInitialBuckets = 16;
 // Growth stops here: beyond a few million buckets the day scan is already
@@ -22,26 +22,21 @@ Engine::Engine() : buckets_(kInitialBuckets) {}
 Engine::EventId Engine::ScheduleAt(SimTime at, Callback cb) {
   PHOENIX_CHECK_MSG(at >= now_, "cannot schedule an event in the past");
   PHOENIX_CHECK_MSG(cb != nullptr, "null event callback");
-  const EventId id = next_seq_++;
-  pending_.Insert(id);
-  const Key key{at, id, Store(std::move(cb))};
+  const std::uint32_t slot = Store(std::move(cb));
+  const Key key{at, next_seq_++, slot, generations_[slot]};
+  ++live_;
   const std::uint64_t day = DayOf(at);
   if (harvested_ && day <= current_day_) {
     // The event lands in the day being served (ScheduleAt(Now()) from
-    // inside a callback, or a day the scan already passed): insertion-sort
-    // it into the unserved tail. Its seq is larger than every entry already
-    // there, so placing it after all entries with time <= at preserves the
-    // global (time, seq) order.
-    const auto it = std::upper_bound(
-        ready_.begin() + static_cast<std::ptrdiff_t>(ready_head_),
-        ready_.end(), at, [](SimTime t, const Key& k) { return t < k.time; });
-    ready_.insert(it, key);
+    // inside a callback, or a day the scan already passed): stage it for
+    // the next fold into the unserved tail.
+    staged_.push_back(key);
   } else {
     buckets_[day & (buckets_.size() - 1)].push_back(key);
     ++bucket_entries_;
     MaybeGrow();
   }
-  return id;
+  return (std::uint64_t{key.gen} << 32) | (std::uint64_t{slot} + 1);
 }
 
 std::uint32_t Engine::Store(Callback&& cb) {
@@ -50,6 +45,7 @@ std::uint32_t Engine::Store(Callback&& cb) {
         callbacks_.size() < std::numeric_limits<std::uint32_t>::max(),
         "callback pool exhausted");
     callbacks_.push_back(std::move(cb));
+    generations_.push_back(1);
     return static_cast<std::uint32_t>(callbacks_.size() - 1);
   }
   const std::uint32_t slot = free_slots_.back();
@@ -58,26 +54,50 @@ std::uint32_t Engine::Store(Callback&& cb) {
   return slot;
 }
 
-void Engine::Release(std::uint32_t slot) {
-  callbacks_[slot] = nullptr;
+void Engine::Retire(std::uint32_t slot) {
+  std::uint32_t& gen = generations_[slot];
+  if (++gen == 0) gen = 1;  // 0 is never issued, so no id is 0
   free_slots_.push_back(slot);
 }
 
 bool Engine::Cancel(EventId id) {
-  if (!pending_.Erase(id)) return false;  // unknown, fired, or cancelled
-  cancelled_.Insert(id);
+  if (!IsPending(id)) return false;  // unknown, fired, or cancelled
+  const std::uint32_t slot = static_cast<std::uint32_t>(id) - 1;
+  callbacks_[slot] = nullptr;
+  Retire(slot);
+  --live_;
+  ++stale_;
   MaybePurge();
   return true;
 }
 
+void Engine::FoldStaged() {
+  // Every staged seq exceeds every tail seq, so once the staging run is in
+  // (time, seq) order a tail key goes after a staged key exactly when its
+  // time is later: merging from the back moves only those. With one staged
+  // key this is a plain insertion into the tail.
+  std::sort(staged_.begin(), staged_.end(), Earlier);
+  std::size_t tail = ready_.size();
+  std::size_t out = tail + staged_.size();
+  ready_.resize(out);
+  for (std::size_t s = staged_.size(); s > 0;) {
+    if (tail > ready_head_ && staged_[s - 1].time < ready_[tail - 1].time) {
+      ready_[--out] = ready_[--tail];
+    } else {
+      ready_[--out] = staged_[--s];
+    }
+  }
+  staged_.clear();
+}
+
 void Engine::MaybeGrow() {
-  if (buckets_.size() >= kMaxBuckets ||
-      pending_.size() <= buckets_.size() * 2) {
+  if (buckets_.size() >= kMaxBuckets || live_ <= buckets_.size() * 2) {
     return;
   }
-  // Collect every physical key (bucket shares plus the unserved ready_
-  // tail), retune the day width to the observed span, and redistribute.
-  // The next Step re-harvests from day(now_), so serving order is intact.
+  // Collect every physical key (bucket shares, the unserved ready_ tail and
+  // the staging run), retune the day width to the observed span, and
+  // redistribute. The next Step re-harvests from day(now_), so serving
+  // order is intact.
   std::vector<Key> all;
   all.reserve(pending_entries());
   for (auto& bucket : buckets_) {
@@ -86,12 +106,14 @@ void Engine::MaybeGrow() {
   all.insert(all.end(),
              ready_.begin() + static_cast<std::ptrdiff_t>(ready_head_),
              ready_.end());
+  all.insert(all.end(), staged_.begin(), staged_.end());
   ready_.clear();
   ready_head_ = 0;
+  staged_.clear();
   harvested_ = false;
 
   std::size_t nbuckets = buckets_.size();
-  while (nbuckets < kMaxBuckets && pending_.size() > nbuckets * 2) {
+  while (nbuckets < kMaxBuckets && live_ > nbuckets * 2) {
     nbuckets *= 2;
   }
   if (!all.empty()) {
@@ -118,32 +140,25 @@ void Engine::MaybeGrow() {
 }
 
 void Engine::MaybePurge() {
-  if (cancelled_.size() < kMinTombstonesForPurge ||
-      cancelled_.size() <= pending_.size() / 2) {
-    return;
-  }
-  // Tombstones dominate: sweep them out in one pass, so cancel-heavy
+  if (stale_ < kMinStaleForPurge || stale_ <= live_ / 2) return;
+  // Stale keys dominate: sweep them out in one pass, so cancel-heavy
   // workloads keep the calendar at O(live) instead of O(scheduled).
   //
-  // Precondition (what makes clearing cancelled_ below safe even when this
-  // runs from a callback mid-way through a harvested day): every id in
-  // cancelled_ has exactly one physical key, and it sits in a bucket or in
-  // the *unserved* ready_ tail. Cancel only tombstones pending ids (so the
-  // key exists and has not been served), and Step reclaims any tombstone
-  // it passes over, so none can hide in the served husk region
-  // [0, ready_head_). The sweep therefore drops each tombstone (and
-  // destroys its callback) exactly once, and afterwards the set can be
-  // cleared with nothing left for the rest of the harvested run to
-  // consult. Both are checked below.
+  // Precondition (what makes resetting stale_ below exact even when this
+  // runs from a callback mid-way through a harvested day): every cancelled
+  // event has exactly one physical key, and it sits in a bucket, in the
+  // *unserved* ready_ tail or in the staging run. Cancel only stales live
+  // events (so the key exists and has not been served), and Step counts
+  // off any stale key it passes over, so none can hide in the served husk
+  // region [0, ready_head_). Checked below.
   std::size_t dropped = 0;
-  // Keeps the keys of [first, last) that are not tombstones at `out`.
+  // Keeps the live keys of [first, last) at `out`.
   const auto sweep = [this, &dropped](auto first, auto last, auto out) {
     for (; first != last; ++first) {
-      if (cancelled_.Contains(first->seq)) {
-        Release(first->slot);
-        ++dropped;
-      } else {
+      if (Live(*first)) {
         *out++ = *first;
+      } else {
+        ++dropped;
       }
     }
     return out;
@@ -158,13 +173,15 @@ void Engine::MaybePurge() {
                      ready_.end(), ready_.begin()),
                ready_.end());
   ready_head_ = 0;
-  PHOENIX_CHECK_MSG(dropped == cancelled_.size(),
-                    "purge dropped a different number of entries than there "
-                    "are tombstones: a cancelled event was served, double-"
-                    "counted, or physically lost");
-  cancelled_.clear();
+  staged_.erase(sweep(staged_.begin(), staged_.end(), staged_.begin()),
+                staged_.end());
+  PHOENIX_CHECK_MSG(dropped == stale_,
+                    "purge dropped a different number of keys than there "
+                    "are cancelled events: a cancelled event was served, "
+                    "double-counted, or physically lost");
+  stale_ = 0;
   ++compactions_;
-  PHOENIX_CHECK(pending_entries() == pending_.size());
+  PHOENIX_CHECK(pending_entries() == live_);
 }
 
 void Engine::Harvest() {
@@ -179,9 +196,7 @@ void Engine::Harvest() {
   }
   bucket_entries_ -= bucket.size() - w;
   bucket.resize(w);
-  std::sort(ready_.begin(), ready_.end(), [](const Key& a, const Key& b) {
-    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-  });
+  std::sort(ready_.begin(), ready_.end(), Earlier);
   harvested_ = true;
 }
 
@@ -221,39 +236,37 @@ std::uint64_t Engine::Run(SimTime until) {
 
 bool Engine::Step(SimTime until) {
   for (;;) {
+    if (!staged_.empty()) FoldStaged();
     while (ready_head_ < ready_.size()) {
       const Key key = ready_[ready_head_];
-      if (cancelled_.Erase(key.seq)) {
-        ++ready_head_;  // tombstone: reclaim and skip
-        Release(key.slot);
+      if (!Live(key)) {
+        ++ready_head_;  // cancelled: its callback is already gone
+        --stale_;
         continue;
       }
       if (key.time > until) return false;
       ++ready_head_;
-      pending_.Erase(key.seq);
+      --live_;
       PHOENIX_CHECK_MSG(key.time >= now_, "event time went backwards");
       now_ = key.time;
       ++events_fired_;
       // Take the callback out of the pool before running it: it may
       // schedule events, which can reallocate the pool under it.
       Callback cb = std::move(callbacks_[key.slot]);
-      free_slots_.push_back(key.slot);
+      Retire(key.slot);
       cb();
       return true;
     }
     ready_.clear();
     ready_head_ = 0;
     harvested_ = false;
-    if (pending_.empty()) {
-      // Nothing live: drop any straggler tombstones so the calendar is
+    if (live_ == 0) {
+      // Nothing live: drop any straggler stale keys so the calendar is
       // physically empty too.
       if (bucket_entries_ > 0) {
-        for (auto& bucket : buckets_) {
-          for (const Key& k : bucket) Release(k.slot);
-          bucket.clear();
-        }
+        for (auto& bucket : buckets_) bucket.clear();
         bucket_entries_ = 0;
-        cancelled_.clear();
+        stale_ = 0;
       }
       current_day_ = DayOf(now_);
       return false;

@@ -1,14 +1,14 @@
 // Open-addressed hash containers for integer keys.
 //
-// The engine's cancellation path and the CRV predicate table both need
-// O(1) membership over dense integer ids. std::unordered_* pays a node
+// The auditor's in-flight message ledger and the CRV predicate table both
+// need O(1) membership over integer ids. std::unordered_* pays a node
 // allocation per element and a pointer chase per lookup; these containers
 // keep everything in two flat arrays (linear probing, power-of-two
 // capacity, backward-shift deletion so no tombstones accumulate).
 //
 // Keys are std::uint64_t; the all-ones value is reserved as the empty-slot
-// sentinel and must never be inserted (the engine's sequence numbers and
-// the CRV's encoded predicates never reach it).
+// sentinel and must never be inserted (the fabric's message ids and the
+// CRV's encoded predicates never reach it).
 #pragma once
 
 #include <cstdint>

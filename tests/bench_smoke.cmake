@@ -5,6 +5,8 @@
 #
 #   chaos       Figure 7 on a lossy fabric with retries: exiting 0 is the
 #               whole assertion (no JSON);
+#   churn       elastic scale-up/down with heavy transient reclamation:
+#               reclamation engaged in some cell;
 #   energy      diurnal park + DVFS cells: joules metered in every cell,
 #               deep park engaged, and parking saved energy against
 #               always-on;
@@ -15,13 +17,17 @@
 #               one shard;
 #   packing     gang + malleable cells on a lossy fabric: the run was
 #               audited, every cell packed with an efficiency in (0, 1],
-#               gangs committed and malleable widths moved.
+#               gangs committed and malleable widths moved;
+#   preemption  multi-tenant cells: every preemption issued was requeued,
+#               and preemption engaged in a cell that enables it.
 #
 # The benches run audited, and the runner aborts on any invariant violation
 # (message conservation; power legality and energy conservation; fed-bind
 # conservation, accepts only on active machines and gossip version
-# monotonicity; capacity conservation and gang atomicity), so exiting 0 is
-# the violation-free assertion and the checks prove the subsystem engaged.
+# monotonicity; capacity conservation and gang atomicity; no lost job and
+# no binding to a machine that is not active; quota-charge fractions in
+# [0, 1] and every job, preempted or not, completing), so exiting 0 is the
+# violation-free assertion and the checks prove the subsystem engaged.
 #
 #   cmake -DBIN=<exe> -DDIR=<dir> -DCHECK=energy
 #         "-DARGS=--nodes=48 --jobs=600 --runs=1 --audit --json=%DIR%/cells.json"
@@ -54,7 +60,18 @@ function(cell_field out i key)
   set(${out} "${value}" PARENT_SCOPE)
 endfunction()
 
-if(CHECK STREQUAL "energy")
+if(CHECK STREQUAL "churn")
+  set(reclaimed FALSE)
+  foreach(i RANGE ${last})
+    cell_field(reclamations ${i} reclamations)
+    if(reclamations GREATER 0)
+      set(reclaimed TRUE)
+    endif()
+  endforeach()
+  if(NOT reclaimed)
+    message(FATAL_ERROR "reclamation never engaged")
+  endif()
+elseif(CHECK STREQUAL "energy")
   set(parked 0)
   set(park_engaged FALSE)
   set(saved FALSE)
@@ -191,8 +208,25 @@ elseif(CHECK STREQUAL "packing")
   if(malleable EQUAL 0 OR NOT moved)
     message(FATAL_ERROR "malleable width never moved")
   endif()
+elseif(CHECK STREQUAL "preemption")
+  set(engaged FALSE)
+  foreach(i RANGE ${last})
+    cell_field(issued ${i} preemptions_issued)
+    cell_field(requeues ${i} preemption_requeues)
+    if(NOT issued EQUAL requeues)
+      message(FATAL_ERROR "preemption conservation broken in cell ${i}: "
+                          "${issued} issued, ${requeues} requeued")
+    endif()
+    cell_field(preemption ${i} preemption)
+    if(preemption AND issued GREATER 0)
+      set(engaged TRUE)
+    endif()
+  endforeach()
+  if(NOT engaged)
+    message(FATAL_ERROR "preemption never engaged")
+  endif()
 else()
-  message(FATAL_ERROR
-          "unknown CHECK \"${CHECK}\" (chaos|energy|federation|packing)")
+  message(FATAL_ERROR "unknown CHECK \"${CHECK}\" "
+                      "(chaos|churn|energy|federation|packing|preemption)")
 endif()
 message(STATUS "${CHECK} smoke ok: ${ncells} audited cells")

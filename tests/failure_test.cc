@@ -149,6 +149,7 @@ class WhiteBox : public Scheduler {
  public:
   using Scheduler::Scheduler;
   using Scheduler::AllJobsDone;
+  using Scheduler::PublishWait;
   using Scheduler::RemoveQueueAt;
   using Scheduler::counters_view;
   using Scheduler::fabric;
@@ -353,14 +354,13 @@ TEST(Failures, RepairResetsStaleCrvState) {
   WhiteBox<core::PhoenixScheduler> sched(engine, cl,
                                          sched::SchedulerConfig{});
   auto& w = sched.worker(0);
-  w.last_wait_estimate = 42.0;
-  w.crv_marked = true;
+  sched.PublishWait(0, 42.0, true);
   sched.InjectFailure(0);
   EXPECT_TRUE(w.failed);
   sched.InjectRepair(0);
   EXPECT_FALSE(w.failed);
-  EXPECT_EQ(w.last_wait_estimate, 0.0);
-  EXPECT_FALSE(w.crv_marked);
+  EXPECT_EQ(sched.published_wait(0), 0.0);
+  EXPECT_FALSE(sched.crv_marked(0));
 }
 
 TEST(Failures, InjectionIsIdempotent) {

@@ -1,15 +1,21 @@
 // White-box tests of the scheduler framework's internal machinery, driven
-// through a test subclass that exposes the protected helpers, and the dense
-// heartbeat hints checked against their worker records after every event.
+// through a test subclass that exposes the protected helpers, the dense
+// heartbeat hints checked against their worker records after every event,
+// and Phoenix's published wait estimates checked against the estimators
+// after every heartbeat.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cluster/builder.h"
 #include "cluster/membership.h"
+#include "core/phoenix.h"
 #include "elastic/controller.h"
+#include "metrics/report.h"
 #include "obs/audit.h"
 #include "packing/demand.h"
 #include "power/controller.h"
@@ -278,7 +284,18 @@ std::string HintMismatch(const SchedulerBase& s, const trace::Trace& t,
   return out.str();
 }
 
-void StepAndCheckHints(const HintCase& c) {
+// Builds the case's scheduler.
+using MakeFn = std::function<std::unique_ptr<SchedulerBase>(
+    sim::Engine&, const cluster::Cluster&, const SchedulerConfig&)>;
+// The first disagreement `check` finds in the scheduler, or "".
+using CheckFn = std::function<std::string(
+    const SchedulerBase&, const trace::Trace&, const SchedulerConfig&)>;
+
+// Runs the case one event at a time, calling `check` before the first event
+// and after each one, and stops at the first disagreement. The run must
+// then have drained with a clean audit. Returns the run's report.
+metrics::SimReport StepAndCheck(const HintCase& c, const MakeFn& make,
+                                const CheckFn& check) {
   SCOPED_TRACE(c.name);
   constexpr std::size_t kMachines = 40;
   constexpr std::uint64_t kSeed = 11;
@@ -308,7 +325,7 @@ void StepAndCheckHints(const HintCase& c) {
   const trace::Trace t = trace::GenerateTrace("google", gen);
 
   sim::Engine engine;
-  auto s = runner::MakeScheduler(c.scheduler, engine, cl, cfg);
+  std::unique_ptr<SchedulerBase> s = make(engine, cl, cfg);
   obs::InvariantAuditor auditor;
   s->AttachAuditor(&auditor);
   std::unique_ptr<cluster::MembershipView> view;
@@ -348,18 +365,30 @@ void StepAndCheckHints(const HintCase& c) {
   if (elastic) elastic->Start();
   if (controller) controller->Start();
 
-  const packing::ResourceVector mean_demand =
-      packing::MeanDemand(cfg.packing);
   std::uint64_t events = 0;
-  std::string mismatch = HintMismatch(*s, t, c.packing, mean_demand);
+  std::string mismatch = check(*s, t, cfg);
   while (mismatch.empty() && engine.Step()) {
     ++events;
-    mismatch = HintMismatch(*s, t, c.packing, mean_demand);
+    mismatch = check(*s, t, cfg);
   }
   EXPECT_EQ(mismatch, "") << "after event " << events;
   EXPECT_TRUE(s->AllJobsDone());
   s->FinalAudit();
   EXPECT_TRUE(auditor.ok()) << auditor.Summary();
+  return s->BuildReport();
+}
+
+void StepAndCheckHints(const HintCase& c) {
+  StepAndCheck(
+      c,
+      [&c](sim::Engine& engine, const cluster::Cluster& cl,
+           const SchedulerConfig& cfg) {
+        return runner::MakeScheduler(c.scheduler, engine, cl, cfg);
+      },
+      [&c](const SchedulerBase& s, const trace::Trace& t,
+           const SchedulerConfig& cfg) {
+        return HintMismatch(s, t, c.packing, packing::MeanDemand(cfg.packing));
+      });
 }
 
 TEST(DenseHints, MatchWorkerRecordsAfterEveryEvent) {
@@ -383,6 +412,135 @@ TEST(DenseHints, MatchWorkerRecordsAfterEveryEvent) {
        .failures = true, .drop = 0.2, .rpc_retries = 0},
   };
   for (const HintCase& c : cases) StepAndCheckHints(c);
+}
+
+// ------------------------------------------------------- heartbeat oracle
+
+// Phoenix with an oracle on its heartbeat. After each ideal-fabric,
+// unsharded tick (the ticks that republish only the moved estimators),
+// every machine's published E[W] must equal its estimator's, its CRV mark
+// must be (congested && E[W] > qwait_threshold), and the running mark count
+// must equal the number of marks. The first disagreement is kept.
+class WaitOracle : public core::PhoenixScheduler {
+ public:
+  using PhoenixScheduler::PhoenixScheduler;
+
+  /// From the first tick at or after `at` on, cuts machine 0 off from the
+  /// controller for half a heartbeat at every other tick, so those ticks'
+  /// reports transit the fabric and, on a fabric slower than a heartbeat,
+  /// land after the next tick has republished.
+  void PartitionFrom(double at) { partition_from_ = at; }
+
+  const std::string& mismatch() const { return mismatch_; }
+  std::uint64_t checked_ticks() const { return checked_ticks_; }
+  std::uint64_t fabric_ticks() const { return fabric_ticks_; }
+
+ protected:
+  void OnHeartbeat(MachineId lo, MachineId hi) override {
+    if (partition_from_ >= 0 && engine().Now() >= partition_from_) {
+      if (cut_) fabric().Partition({0}, config().heartbeat_interval / 2);
+      cut_ = !cut_;
+    }
+    const bool moved_only = fabric().FastPath() && federation() == nullptr;
+    PhoenixScheduler::OnHeartbeat(lo, hi);
+    if (!moved_only) {
+      ++fabric_ticks_;
+      return;
+    }
+    if (!mismatch_.empty()) return;
+    ++checked_ticks_;
+    std::ostringstream out;
+    std::size_t marks = 0;
+    for (MachineId i = lo; i < hi; ++i) {
+      const double estimate = worker(i).estimator.EstimateWait();
+      const bool marked =
+          congested() && estimate > config().qwait_threshold;
+      if (published_wait(i) != estimate) {
+        out << "E[W] of " << i << ": published " << published_wait(i)
+            << ", estimator " << estimate;
+      } else if (crv_marked(i) != marked) {
+        out << "CRV mark of " << i;
+      }
+      if (!out.str().empty()) break;
+      if (crv_marked(i)) ++marks;
+    }
+    if (out.str().empty() && marks != crv_mark_count()) {
+      out << "mark count " << crv_mark_count() << " of " << marks;
+    }
+    if (!out.str().empty()) {
+      out << " at tick " << checked_ticks_ << " (t=" << engine().Now()
+          << ")";
+      mismatch_ = out.str();
+    }
+  }
+
+ private:
+  double partition_from_ = -1;
+  bool cut_ = true;
+  std::string mismatch_;
+  std::uint64_t checked_ticks_ = 0;
+  std::uint64_t fabric_ticks_ = 0;
+};
+
+struct OracleCase {
+  HintCase run;
+  /// Report counters that must be positive: the case reached its sites.
+  std::vector<std::uint64_t metrics::SchedulerCounters::*> engaged;
+  double partition_from = -1;
+};
+
+// One run per estimator-moving site: arrivals and completions (every run),
+// failures with repair (Clear), parks and wakes under policy all (the wake
+// penalty, Clear), elastic commission and retire (Clear), packing's
+// effective-server seeding, and a partition on a fabric slower than a
+// heartbeat, whose late reports overwrite what the next tick published.
+TEST(HeartbeatOracle, PublishedWaitsMatchEstimatorsAfterEveryTick) {
+  using C = metrics::SchedulerCounters;
+  const OracleCase cases[] = {
+      {.run = {.name = "failures with repair", .scheduler = "phoenix",
+               .failures = true},
+       .engaged = {&C::machine_failures}},
+      {.run = {.name = "power all", .scheduler = "phoenix", .power = true,
+               .load = 0.5},
+       .engaged = {&C::power_parks, &C::power_wakes}},
+      {.run = {.name = "elastic churn, power all", .scheduler = "phoenix",
+               .power = true, .elastic = true},
+       .engaged = {&C::elastic_commissions, &C::elastic_retires_graceful,
+                   &C::power_parks}},
+      {.run = {.name = "packed gang/malleable, failures",
+               .scheduler = "phoenix", .packing = true,
+               .gang_malleable = true, .failures = true},
+       .engaged = {&C::machine_failures}},
+      {.run = {.name = "partition on a slow fabric", .scheduler = "phoenix",
+               .one_way = 10.0},
+       .engaged = {},
+       .partition_from = 100.0},
+  };
+  for (const OracleCase& c : cases) {
+    std::uint64_t checked = 0;
+    std::uint64_t fabric = 0;
+    const metrics::SimReport report = StepAndCheck(
+        c.run,
+        [&c](sim::Engine& engine, const cluster::Cluster& cl,
+             const SchedulerConfig& cfg) {
+          auto s = std::make_unique<WaitOracle>(engine, cl, cfg);
+          s->PartitionFrom(c.partition_from);
+          return s;
+        },
+        [&](const SchedulerBase& s, const trace::Trace&,
+            const SchedulerConfig&) {
+          const auto& oracle = static_cast<const WaitOracle&>(s);
+          checked = oracle.checked_ticks();
+          fabric = oracle.fabric_ticks();
+          return oracle.mismatch();
+        });
+    SCOPED_TRACE(c.run.name);
+    EXPECT_GT(checked, 10u);
+    EXPECT_EQ(fabric > 0, c.partition_from >= 0);
+    for (const auto counter : c.engaged) {
+      EXPECT_GT(report.counters.*counter, 0u);
+    }
+  }
 }
 
 }  // namespace

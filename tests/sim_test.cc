@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -317,6 +318,66 @@ TEST(Engine, CancelSameInstantSiblingFromCallback) {
   e.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 2}));
   EXPECT_EQ(e.events_fired(), 2u);
+}
+
+// Event ids are never 0, so 0 can mean "no event" (a run's completion
+// event, a gang round's hold timer, an RPC timer): cancelling or asking
+// after id 0 must not touch the first event.
+TEST(Engine, NoIssuedIdIsZero) {
+  Engine e;
+  bool fired = false;
+  const Engine::EventId first = e.ScheduleAt(1.0, [&] { fired = true; });
+  EXPECT_NE(first, 0u);
+  EXPECT_TRUE(e.IsPending(first));
+  EXPECT_FALSE(e.IsPending(0));
+  EXPECT_FALSE(e.Cancel(0));
+  EXPECT_TRUE(e.IsPending(first));
+  e.Run();
+  EXPECT_TRUE(fired);
+}
+
+// A slot's generation wraps from 2^32 - 1 to 1, never to 0: the previous
+// occupant's stale id misses, and the new occupant's id is not 0-tagged.
+TEST(Engine, GenerationWrapSkipsZeroAndStaleIdsMiss) {
+  Engine e;
+  const Engine::EventId seed = e.ScheduleAt(1.0, [] {});
+  e.Run();  // slot 0 is free again
+  ASSERT_FALSE(e.IsPending(seed));
+  e.SetGenerationForTest(0, 0xFFFFFFFFu);
+  int fired = 0;
+  const Engine::EventId old_id = e.ScheduleAt(2.0, [&] { ++fired; });
+  EXPECT_EQ(old_id >> 32, 0xFFFFFFFFu);
+  EXPECT_EQ(static_cast<std::uint32_t>(old_id), 1u);  // slot 0
+  EXPECT_TRUE(e.IsPending(old_id));
+  e.Run();
+  EXPECT_EQ(fired, 1);
+  const Engine::EventId next = e.ScheduleAt(3.0, [&] { ++fired; });
+  EXPECT_EQ(static_cast<std::uint32_t>(next), 1u);  // the same slot
+  EXPECT_EQ(next >> 32, 1u);                        // generation 0 skipped
+  EXPECT_FALSE(e.IsPending(old_id));
+  EXPECT_FALSE(e.Cancel(old_id));
+  EXPECT_TRUE(e.IsPending(next));
+  e.Run();
+  EXPECT_EQ(fired, 2);
+  // The same wrap on the cancel path: the cancelled event's stale key stays
+  // in the calendar and must not fire the slot's next tenant early.
+  e.SetGenerationForTest(0, 0xFFFFFFFFu);
+  const Engine::EventId wrapped = e.ScheduleAt(4.0, [&] { fired += 100; });
+  EXPECT_TRUE(e.Cancel(wrapped));
+  double after_at = 0;
+  const Engine::EventId after = e.ScheduleAt(5.0, [&] {
+    ++fired;
+    after_at = e.Now();
+  });
+  EXPECT_EQ(static_cast<std::uint32_t>(after), 1u);
+  EXPECT_EQ(after >> 32, 1u);
+  EXPECT_FALSE(e.IsPending(wrapped));
+  EXPECT_FALSE(e.Cancel(wrapped));
+  EXPECT_TRUE(e.IsPending(after));
+  e.Run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(after_at, 5.0);
+  EXPECT_TRUE(e.Empty());
 }
 
 // IsPending() tracks the live set exactly, immune to tombstones still
@@ -638,6 +699,89 @@ TEST_P(EnginePurgeStressTest, ReentrantCancelStormMatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnginePurgeStressTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+// Staged bursts: each callback fans out K same-day events at mixed times
+// (some at Now(), some later that day, some on later days), and later
+// callbacks cancel some of them while they sit staged or folded. The
+// engine must fire exactly the never-cancelled events in (time, schedule
+// order), as a naive reference model does. K = 250 with many equal times
+// tells a (time, seq) sort of the staging run from a sort by time alone.
+class EngineStagedBurstTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
+
+TEST_P(EngineStagedBurstTest, FanOutBurstsMatchReferenceModel) {
+  const auto [seed, k] = GetParam();
+  util::Rng rng(seed);
+  Engine e;
+  struct Ref {
+    double time;
+    bool cancelled = false;
+  };
+  std::vector<Ref> ref;
+  std::vector<Engine::EventId> ids;
+  std::vector<std::size_t> fired;
+  std::size_t bursts = 0;
+  struct Act {
+    Engine& e;
+    util::Rng& rng;
+    std::vector<Ref>& ref;
+    std::vector<Engine::EventId>& ids;
+    std::vector<std::size_t>& fired;
+    std::size_t& bursts;
+    int k;
+    std::size_t self;
+    void operator()() const {
+      fired.push_back(self);
+      // Cancel a few recent events: most of them are still staged or were
+      // just folded into the day's tail.
+      for (int c = 0; c < 3 && !ids.empty(); ++c) {
+        const std::size_t back = static_cast<std::size_t>(
+            rng.Uniform(0.0, 1.0) * std::min<double>(ids.size(), 2.0 * k));
+        const std::size_t victim =
+            ids.size() - 1 - std::min(back, ids.size() - 1);
+        if (e.Cancel(ids[victim])) ref[victim].cancelled = true;
+      }
+      if (bursts >= 40 || !rng.Bernoulli(0.3)) return;
+      ++bursts;
+      for (int i = 0; i < k; ++i) {
+        // A coarse grid of offsets, so many staged keys share a time.
+        const double u = rng.Uniform(0.0, 1.0);
+        const double t =
+            u < 0.4 ? e.Now()
+                    : e.Now() + (u < 0.9 ? 0.001 * static_cast<int>(u * 8)
+                                         : 3.0 * u);
+        const std::size_t id = ref.size();
+        ids.push_back(
+            e.ScheduleAt(t, Act{e, rng, ref, ids, fired, bursts, k, id}));
+        ref.push_back(Ref{t});
+      }
+    }
+  };
+  for (int i = 0; i < 200; ++i) {
+    const double t = 0.01 * static_cast<int>(rng.Uniform(0.0, 1000.0));
+    const std::size_t id = ref.size();
+    ids.push_back(e.ScheduleAt(t, Act{e, rng, ref, ids, fired, bursts, k, id}));
+    ref.push_back(Ref{t});
+  }
+  e.Run();
+  EXPECT_TRUE(e.Empty());
+  EXPECT_GT(bursts, 0u);
+  std::vector<std::size_t> expect;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    if (!ref[i].cancelled) expect.push_back(i);
+  }
+  std::stable_sort(expect.begin(), expect.end(),
+                   [&ref](std::size_t a, std::size_t b) {
+                     return ref[a].time < ref[b].time;
+                   });
+  EXPECT_EQ(fired, expect);
+  EXPECT_EQ(e.events_fired(), expect.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bursts, EngineStagedBurstTest,
+    ::testing::Combine(::testing::Values(3, 17, 29),
+                       ::testing::Values(1, 2, 16, 250)));
 
 // Property sweep: random schedule/cancel workloads preserve global time
 // ordering and fire exactly the non-cancelled events.
